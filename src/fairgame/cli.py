@@ -7,6 +7,7 @@ refusal, 3 solver timeout.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 from .bench import CSV_HEADER, SOLVER_TAGS, run_bench, write_csv
 from .certify import DEFAULT_MAX_EDGES, certify_partition
 from .fixpoint import extract_ranks, solve_odd_fp
-from .game import Deadline, OddFairGame, SolverTimeout, SubgameView
+from .game import Deadline, SolverTimeout, SubgameView
 from .pgfile import ParseError, mutate_liveness, mutate_priorities, parse_game, write_game
 from .report import ReportError, write_report
 from .templates import (
@@ -51,17 +52,6 @@ def _load_game(path: str):
         return None
 
 
-def _strip_live(game: OddFairGame) -> OddFairGame:
-    return OddFairGame(
-        game.owner,
-        game.original_priority,
-        game.succ,
-        (),
-        names=game.names,
-        original_ids=game.original_ids,
-    )
-
-
 def _region_line(game, name, region) -> str:
     labels = sorted(game.label(v) for v in region)
     return f"{name}:" + ("" if not labels else " " + " ".join(labels))
@@ -84,6 +74,12 @@ def _solve_instance(game, algo, deadline, want_artifacts):
             template = build_rank_template(view, w_odd, extract_ranks(trace))
             strategy = extract_even_strategy(view, use_live=use_live, deadline=deadline)
     return w_even, w_odd, template, strategy, trace
+
+
+def _certify(game, algo, w_even, w_odd, strategy, template, max_edges):
+    # the classical algorithms ignore live edges, so their results are checked without them
+    target = game if algo in ("of-zl", "of-fp") else mutate_liveness(game, 0, 0)
+    return certify_partition(target, w_even, w_odd, strategy, template, max_edges=max_edges)
 
 
 def cmd_solve(args) -> int:
@@ -117,10 +113,7 @@ def cmd_solve(args) -> int:
         sys.stdout.write(format_template(game, template))
         sys.stdout.write(format_strategy(game, strategy))
     if args.certify:
-        target = game if use_live else _strip_live(game)
-        res = certify_partition(
-            target, w_even, w_odd, strategy, template, max_edges=args.max_edges
-        )
+        res = _certify(game, args.algo, w_even, w_odd, strategy, template, args.max_edges)
         print(res.detail)
         if not res.certified:
             return 2
@@ -181,7 +174,6 @@ def cmd_check(args) -> int:
     if game is None:
         return 1
     deadline = Deadline(args.timeout) if args.timeout else None
-    use_live = args.algo in ("of-zl", "of-fp")
     try:
         w_even, w_odd, template, strategy, _ = _solve_instance(
             game, args.algo, deadline, True
@@ -189,14 +181,12 @@ def cmd_check(args) -> int:
     except SolverTimeout:
         print("timeout", file=sys.stderr)
         return 3
-    target = game if use_live else _strip_live(game)
-    res = certify_partition(
-        target, w_even, w_odd, strategy, template, max_edges=args.max_edges
-    )
+    res = _certify(game, args.algo, w_even, w_odd, strategy, template, args.max_edges)
     print(res.detail)
     return 0 if res.certified else 2
 
 
+@functools.cache  # building it costs more than solving a small game
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairgame",

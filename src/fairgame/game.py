@@ -54,22 +54,29 @@ class Region:
 
     @classmethod
     def of(cls, n: int, members: Iterable[int]) -> "Region":
-        m = 0
+        # linear in n: or-ing in 1 << v would copy the mask once per member
+        bits = bytearray(b"0" * n)
         for v in members:
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} outside universe [0, {n})")
-            m |= 1 << v
-        return cls(n, m)
+            bits[v] = ord("1")
+        bits.reverse()
+        return cls(n, int(bits, 2) if bits else 0)
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and (self.mask >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        # linear in n: peeling the low bit off the int would copy it once per member
+        bits = self.bits()
+        v = bits.find("1")
+        while v >= 0:
+            yield v
+            v = bits.find("1", v + 1)
+
+    def bits(self) -> str:
+        """The mask as "0"/"1" characters, vertex 0 first, up to its highest member."""
+        return bin(self.mask)[:1:-1]
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -147,8 +154,11 @@ class OddFairGame:
         self.shift = 2 if any(p == 0 for p in priorities) else 0
         self.priority = tuple(p + self.shift for p in priorities)
         self.succ = tuple(tuple(ws) for ws in successors)
-        self.live_succ = tuple(sorted({w for (u, w) in live_edges if u == v}) for v in range(n))
         self.live = frozenset((u, w) for (u, w) in live_edges)
+        by_source = {}
+        for u, w in self.live:
+            by_source.setdefault(u, []).append(w)
+        self.live_succ = tuple(sorted(by_source[v]) if v in by_source else [] for v in range(n))
         self.names = tuple(names) if names is not None else (None,) * n
         self.original_ids = tuple(original_ids) if original_ids is not None else tuple(range(n))
         pred = [[] for _ in range(n)]
@@ -244,8 +254,12 @@ class SubgameView:
     def __init__(self, game: OddFairGame, active: Region):
         if active.n != game.n:
             raise ValueError("active region universe does not match game")
+        bits = active.bits().ljust(game.n, "0")  # `w in active` would shift the whole mask
         for v in active:
-            if not any(w in active for w in game.succ[v]):
+            for w in game.succ[v]:
+                if bits[w] == "1":
+                    break
+            else:
                 raise ValueError(f"restriction creates a dead end at {v}")
         self.game = game
         self.active = active

@@ -148,7 +148,7 @@ def mutate_liveness(game: OddFairGame, alpha, seed: int) -> OddFairGame:
     for v in sorted(selected):
         d = len(game.succ[v])
         m = max(1, _floor_percent(alpha, d))
-        picks = SplitMix64(derive_seed(seed, v)).shuffle_prefix(list(range(d)), m)[:m]
+        picks = SplitMix64(derive_seed(seed, v)).sample(d, m)
         for i in picks:
             live.append((v, game.succ[v][i]))
     return OddFairGame(
@@ -191,7 +191,6 @@ def random_game(
     succs = []
     for v in range(n):
         d = min_degree + g.below(max_degree - min_degree + 1)
-        pool = list(range(n))
-        picks = SplitMix64(derive_seed(seed, (v << 1) | 1)).shuffle_prefix(pool, d)[:d]
+        picks = SplitMix64(derive_seed(seed, (v << 1) | 1)).sample(n, d)
         succs.append(sorted(picks))
     return OddFairGame(owners, pris, succs)

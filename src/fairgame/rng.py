@@ -45,6 +45,19 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
         return items
 
+    def sample(self, n: int, k: int) -> list:
+        """The first k entries of shuffle_prefix(list(range(n)), k) from the same
+        draws, without building the list: a dict holds the displaced entries."""
+        moved = {}
+        picks = []
+        for i in range(min(k, n - 1)):
+            j = i + self.below(n - i)
+            picks.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        if 0 < n <= k:  # shuffle_prefix leaves the last entry in place
+            picks.append(moved.get(n - 1, n - 1))
+        return picks
+
 
 def derive_seed(master: int, salt: int) -> int:
     """Independent stream for (master, salt): one extra mixing round."""

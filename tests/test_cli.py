@@ -162,3 +162,23 @@ def test_report_unknown_solver(tmp_path, capsys):
     csv = tmp_path / "bench.csv"
     assert main(["bench", str(corpus), "--algos", "of-zl", "--timeout", "30", "--out", str(csv)]) == 0
     assert main(["report", str(csv), "--x", "of-zl", "--y", "n-fp", "-o", str(tmp_path / "p.svg")]) == 1
+
+
+def test_classical_results_are_certified_without_live_edges(tmp_path, capsys):
+    # certified against the game with its live edges, these regions would be refused
+    path = tmp_path / "live.gm"
+    path.write_text(write_game(mutate_liveness(random_game(9, 5, 34), 100, 34)))
+    for algo in ("n-zl", "n-fp"):
+        assert main(["solve", str(path), "--algo", algo, "--certify"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "both regions certified"
+        assert main(["check", str(path), "--algo", algo]) == 0
+        assert capsys.readouterr().out == "both regions certified\n"
+
+
+def test_parser_reuse_keeps_defaults(ex1_file, capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", ex1_file, "--algo", "bogus"])
+    assert main(["solve", ex1_file, "--algo", "n-zl", "--template"]) == 0
+    capsys.readouterr()
+    assert main(["solve", ex1_file]) == 0
+    assert capsys.readouterr().out.splitlines() == ["W_Even: 2a", "W_Odd: 1a 2b 2c 3a 3b 4a"]

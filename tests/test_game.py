@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,8 +14,9 @@ from fairgame.game import (
     priority_class,
     validate,
 )
+from fairgame.pgfile import mutate_liveness, random_game
 
-from conftest import build_game
+from conftest import build_game, small_games
 
 
 def test_priority_shift_applied_only_when_zero_present():
@@ -118,3 +121,107 @@ def test_priority_class(ex1):
     assert c2 == {"2a", "2b", "2c"}
     assert set(priority_class(ex1, 4)) == {6}
     assert not priority_class(ex1, 5)
+
+
+# -- reference versions of the quadratic constructions the linear ones replace --
+
+
+def reference_live(n, live_edges):
+    """(live_succ, live_pred, live) as built by one scan of the live edges per vertex."""
+    live_edges = list(live_edges)
+    live_succ = tuple(sorted({w for (u, w) in live_edges if u == v}) for v in range(n))
+    live_pred = [[] for _ in range(n)]
+    for v in range(n):
+        for w in live_succ[v]:
+            if 0 <= w < n:
+                live_pred[w].append(v)
+    return live_succ, tuple(tuple(ps) for ps in live_pred), frozenset(live_edges)
+
+
+def reference_iter(mask):
+    """Region members by peeling the lowest bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_live_edges_from_a_generator_are_all_kept():
+    edges = ((u, w) for (u, w) in [(0, 1), (1, 0)])
+    g = OddFairGame([1, 1], [1, 1], [[0, 1], [0, 1]], edges)
+    assert g.live_succ == ([1], [0])
+    assert g.live == frozenset({(0, 1), (1, 0)})
+    assert g.live_pred == ((1,), (0,))
+
+
+def test_live_edges_are_iterated_once():
+    class Counting:
+        calls = 0
+
+        def __iter__(self):
+            Counting.calls += 1
+            return iter([(0, 1), (0, 0), (1, 1)])
+
+    g = OddFairGame([1, 1], [1, 2], [[0, 1], [1]], Counting())
+    assert Counting.calls == 1
+    assert g.live_succ == ([0, 1], [1])
+
+
+def test_live_adjacency_matches_reference_on_seeded_games():
+    for seed in range(40):
+        n = 1 + seed * 7
+        g = mutate_liveness(random_game(n, 1 + seed % 6, seed), (0, 30, 50, 100)[seed % 4], seed)
+        edges = sorted(g.live)
+        random.Random(seed).shuffle(edges)
+        h = OddFairGame(g.owner, g.original_priority, g.succ, edges)
+        assert (h.live_succ, h.live_pred, h.live) == reference_live(n, edges)
+        assert all(type(ws) is list for ws in h.live_succ)
+
+
+@pytest.mark.parametrize(
+    "live, message",
+    [
+        ([(0, 1), (0, 1), (0, 0), (0, 1)], None),
+        ([(0, 1), (5, 0)], "live edge (5, 0) references a nonexistent vertex"),
+        ([(0, 7), (0, 0)], "live edge (0, 7) references a nonexistent vertex"),
+        ([(-1, 0), (0, 1)], "live edge (-1, 0) references a nonexistent vertex"),
+        ([(1, 1), (0, 0)], "live edge source owned by Even at 1"),
+    ],
+)
+def test_live_adjacency_matches_reference_on_hand_built_edges(live, message):
+    g = OddFairGame([1, 0], [1, 2], [[0, 1], [1]], live)
+    assert (g.live_succ, g.live_pred, g.live) == reference_live(2, live)
+    assert validate(g) == message
+
+
+def test_region_iteration_and_building_match_bit_peeling():
+    rng = random.Random(5)
+    for n in (0, 1, 2, 63, 64, 65, 1000, 100_000):
+        masks = [0, (1 << n) - 1, rng.getrandbits(n) if n else 0]
+        if n:
+            masks.append((1 << (n - 1)) | (1 << (n // 2)))  # sparse, high bits
+        for mask in masks:
+            assert list(Region(n, mask)) == reference_iter(mask)
+            assert Region.of(n, reversed(reference_iter(mask))).mask == mask
+
+
+def reference_dead_end(game, active):
+    members = set(reference_iter(active.mask))
+    return next((v for v in sorted(members) if not members & set(game.succ[v])), None)
+
+
+def test_subgame_view_names_the_smallest_dead_end():
+    rng = random.Random(3)
+    checked = 0
+    for seed, _, g in small_games(200, max_n=12):
+        active = Region(g.n, rng.getrandbits(g.n))
+        expected = reference_dead_end(g, active)
+        if expected is None:
+            assert SubgameView(g, active).active == active
+            continue
+        with pytest.raises(ValueError, match=f"dead end at {expected}$"):
+            SubgameView(g, active)
+        checked += 1
+    assert checked > 50

@@ -1,6 +1,6 @@
 import pytest
 
-from fairgame.game import ODD, validate
+from fairgame.game import ODD, OddFairGame, validate
 from fairgame.pgfile import (
     ParseError,
     mutate_liveness,
@@ -9,6 +9,7 @@ from fairgame.pgfile import (
     random_game,
     write_game,
 )
+from fairgame.rng import SplitMix64, derive_seed
 
 from conftest import make_ex1
 
@@ -82,6 +83,51 @@ def test_random_game_is_wellformed_and_deterministic():
         assert not g.live
         h = random_game(5 + seed % 20, 1 + seed % 6, seed)
         assert h.succ == g.succ and h.owner == g.owner and h.priority == g.priority
+
+
+def reference_random_game(n, priorities, seed, min_degree=1, max_degree=3):
+    """random_game as first written: a full list of targets shuffled per vertex."""
+    max_degree = min(max_degree, n)
+    min_degree = max(1, min(min_degree, max_degree))
+    g = SplitMix64(seed)
+    owners = [g.below(2) for _ in range(n)]
+    pris = [1 + g.below(priorities) for _ in range(n)]
+    succs = []
+    for v in range(n):
+        d = min_degree + g.below(max_degree - min_degree + 1)
+        pool = list(range(n))
+        picks = SplitMix64(derive_seed(seed, (v << 1) | 1)).shuffle_prefix(pool, d)[:d]
+        succs.append(sorted(picks))
+    return OddFairGame(owners, pris, succs)
+
+
+def test_random_game_is_bit_identical_to_reference():
+    cases = [(1, 1, 0, 1, 3), (1, 4, 7, 2, 9), (2, 2, 3, 1, 3), (2, 3, 8, 2, 2), (3, 2, 1, 5, 9)]
+    for i in range(220):
+        n = 1 + i % 23
+        lo = 1 + i % 4
+        cases.append((n, 1 + i % 7, 1000 + i, lo, lo + i % 5 + (n if i % 9 == 0 else 0)))
+    for n, p, seed, lo, hi in cases:
+        expected = write_game(reference_random_game(n, p, seed, lo, hi))
+        assert write_game(random_game(n, p, seed, lo, hi)) == expected, (n, p, seed, lo, hi)
+
+
+def test_random_game_at_scale_has_its_shape():
+    g = random_game(100_000, 8, 17)
+    assert g.n == 100_000 and not g.live
+    assert set(g.priority) <= set(range(1, 9)) and set(g.owner) == {0, 1}
+    for ws in g.succ:
+        assert 1 <= len(ws) <= 3 and list(ws) == sorted(set(ws))
+        assert 0 <= ws[0] and ws[-1] < g.n
+
+
+def test_sample_is_the_shuffled_prefix():
+    for n in range(8):
+        for k in range(10):
+            for seed in range(12):
+                a, b = SplitMix64(seed), SplitMix64(seed)
+                assert a.sample(n, k) == b.shuffle_prefix(list(range(n)), k)[:k]
+                assert a.state == b.state
 
 
 def test_mutate_liveness_floor_counts():
