@@ -17,7 +17,6 @@ from .game import (
     SubgameView,
     least_even_upperbound,
     priority_class,
-    subgame,
     validate,
 )
 from .pgfile import (
@@ -88,7 +87,6 @@ __all__ = [
     "SubgameView",
     "least_even_upperbound",
     "priority_class",
-    "subgame",
     "validate",
     "ParseError",
     "parse_game",

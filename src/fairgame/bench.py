@@ -7,6 +7,7 @@ empty fields otherwise.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -100,8 +101,9 @@ def run_bench(
     jobs: int = 1,
 ) -> List[BenchRecord]:
     tasks = [(str(p), s, timeout) for p in sorted(paths) for s in solvers]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_worker, tasks))
     else:
         records = [_worker(t) for t in tasks]

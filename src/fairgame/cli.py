@@ -1,7 +1,7 @@
 """Command line surface.
 
 Exit codes: 0 success, 1 input or usage error, 2 certification failure or
-refusal, 3 solver timeout.
+refusal, 3 solver timeout, 4 internal error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import CSV_HEADER, SOLVER_TAGS, run_bench, write_csv
+from .bench import SOLVER_TAGS, run_bench, write_csv
 from .certify import DEFAULT_MAX_EDGES, certify_partition
 from .fixpoint import extract_ranks, solve_odd_fp
 from .game import Deadline, SolverTimeout, SubgameView
@@ -25,8 +25,6 @@ from .templates import (
     format_template,
 )
 from .zielonka import solve_zielonka_fair, solve_zielonka_normal
-
-ALGOS = SOLVER_TAGS
 
 
 def _default_seed() -> int:
@@ -72,23 +70,25 @@ def _solve_instance(game, algo, deadline, want_artifacts):
         w_even = w_odd.complement()
         if want_artifacts:
             template = build_rank_template(view, w_odd, extract_ranks(trace))
-            strategy = extract_even_strategy(view, use_live=use_live, deadline=deadline)
+            strategy = extract_even_strategy(
+                view, trace=trace, use_live=use_live, deadline=deadline
+            )
     return w_even, w_odd, template, strategy, trace
 
 
-def _certify(game, algo, w_even, w_odd, strategy, template, max_edges):
-    # the classical algorithms ignore live edges, so their results are checked without them
-    target = game if algo in ("of-zl", "of-fp") else mutate_liveness(game, 0, 0)
-    return certify_partition(target, w_even, w_odd, strategy, template, max_edges=max_edges)
+def _played_game(game, algo):
+    # the classical readings ignore live edges: they are solved and certified without them
+    return game if algo in ("of-zl", "of-fp") else mutate_liveness(game, 0, 0)
 
 
 def cmd_solve(args) -> int:
     game = _load_game(args.file)
     if game is None:
         return 1
-    if args.algo not in ALGOS:
+    if args.algo not in SOLVER_TAGS:
         print(f"unknown algorithm {args.algo}", file=sys.stderr)
         return 1
+    game = _played_game(game, args.algo)
     deadline = Deadline(args.timeout) if args.timeout else None
     use_live = args.algo in ("of-zl", "of-fp")
     want_artifacts = args.template or args.certify
@@ -113,7 +113,7 @@ def cmd_solve(args) -> int:
         sys.stdout.write(format_template(game, template))
         sys.stdout.write(format_strategy(game, strategy))
     if args.certify:
-        res = _certify(game, args.algo, w_even, w_odd, strategy, template, args.max_edges)
+        res = certify_partition(game, w_even, w_odd, strategy, template, max_edges=args.max_edges)
         print(res.detail)
         if not res.certified:
             return 2
@@ -148,7 +148,7 @@ def cmd_bench(args) -> int:
         print(f"no instance files in {args.directory}", file=sys.stderr)
         return 1
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    bad = [a for a in algos if a not in ALGOS]
+    bad = [a for a in algos if a not in SOLVER_TAGS]
     if bad or not algos:
         print(f"unknown algorithms: {', '.join(bad) or '(none given)'}", file=sys.stderr)
         return 1
@@ -173,6 +173,7 @@ def cmd_check(args) -> int:
     game = _load_game(args.file)
     if game is None:
         return 1
+    game = _played_game(game, args.algo)
     deadline = Deadline(args.timeout) if args.timeout else None
     try:
         w_even, w_odd, template, strategy, _ = _solve_instance(
@@ -181,7 +182,7 @@ def cmd_check(args) -> int:
     except SolverTimeout:
         print("timeout", file=sys.stderr)
         return 3
-    res = _certify(game, args.algo, w_even, w_odd, strategy, template, args.max_edges)
+    res = certify_partition(game, w_even, w_odd, strategy, template, max_edges=args.max_edges)
     print(res.detail)
     return 0 if res.certified else 2
 
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance and print the winning regions")
     p.add_argument("file")
-    p.add_argument("--algo", default="of-zl", choices=ALGOS)
+    p.add_argument("--algo", default="of-zl", choices=SOLVER_TAGS)
     p.add_argument("--template", action="store_true", help="print the Odd template and Even strategy")
     p.add_argument("--certify", action="store_true", help="certify the result exhaustively")
     p.add_argument("--ranks", action="store_true", help="print per-vertex ranks")
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run solvers over a directory of instances")
     p.add_argument("directory")
-    p.add_argument("--algos", default=",".join(ALGOS))
+    p.add_argument("--algos", default=",".join(SOLVER_TAGS))
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="solve and certify one instance")
     p.add_argument("file")
-    p.add_argument("--algo", default="of-fp", choices=ALGOS)
+    p.add_argument("--algo", default="of-fp", choices=SOLVER_TAGS)
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_check)
@@ -240,7 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a fault of the program, reported in one line
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -277,7 +277,3 @@ class SubgameView:
         if player is None:
             return self.active
         return self.game.vertices(player) & self.active
-
-
-def subgame(game: OddFairGame, active: Region) -> SubgameView:
-    return SubgameView(game, active)

@@ -205,20 +205,26 @@ def extract_even_strategy(
 ) -> EvenStrategy:
     """Positional Even strategy on the Even winning region of the view.
 
-    The region (taken from a given trace, or solved for) is an Odd-trap on
-    which Even wins from everywhere, so the recursive solver restricted to it
-    returns the whole region as Even's and its choice map is the strategy.
-    A successor of minimal solver rank is not always a winning move here:
-    two successors can carry the same minimal rank while only one of them
-    makes progress, so the choice has to come from the recursion structure.
+    The region comes from a given trace of either side (an Even trace's
+    region, or by determinacy the view minus an Odd trace's region) and is
+    solved for only when no trace is given. The trace must come from a
+    fixed-point solve of this view with the same use_live. The region is an
+    Odd-trap on which Even wins from everywhere, so the recursive solver
+    restricted to it returns the whole region as Even's and its choice map
+    is the strategy. A successor of minimal solver rank is not always a
+    winning move here: two successors can carry the same minimal rank while
+    only one of them makes progress, so the choice has to come from the
+    recursion structure.
     """
     from .zielonka import solve_zielonka_fair, solve_zielonka_normal
 
     game = view.game
-    if trace is not None and trace.side == EVEN:
+    if trace is None:
+        reg = solve_even_fp(view, use_live=use_live, deadline=deadline)
+    elif trace.side == EVEN:
         reg = trace.region
     else:
-        reg = solve_even_fp(view, use_live=use_live, deadline=deadline)
+        reg = view.active - trace.region
     if region is not None and region != reg:
         raise ValueError("given region does not match the Even winning region")
     if not reg:

@@ -1,5 +1,6 @@
 import pytest
 
+from fairgame import bench, fixpoint
 from fairgame.bench import CSV_HEADER
 from fairgame.cli import main
 from fairgame.pgfile import mutate_liveness, parse_game, random_game, write_game
@@ -182,3 +183,86 @@ def test_parser_reuse_keeps_defaults(ex1_file, capsys):
     capsys.readouterr()
     assert main(["solve", ex1_file]) == 0
     assert capsys.readouterr().out.splitlines() == ["W_Even: 2a", "W_Odd: 1a 2b 2c 3a 3b 4a"]
+
+
+FAULT_A = "0 5 1 1;\n1 3 1 0,1;\nlive 0 1;\nlive 1 0;\nlive 1 1;\n"
+
+
+def test_classical_templates_ignore_live_edges(tmp_path, capsys):
+    # closed under the live edge 1 -> 1, vertex 1 would keep two edges on its cycle
+    path = tmp_path / "fault-a.gm"
+    path.write_text(FAULT_A)
+    for algo in ("n-zl", "n-fp"):
+        assert main(["solve", str(path), "--algo", algo, "--template", "--certify"]) == 0
+        out = capsys.readouterr().out
+        assert "edge 1 1;" not in out
+        assert out.splitlines()[-1] == "both regions certified"
+        assert main(["check", str(path), "--algo", algo]) == 0
+        assert capsys.readouterr().out == "both regions certified\n"
+
+
+@pytest.mark.parametrize("algo", ["of-fp", "n-fp"])
+def test_one_fixed_point_solve_per_operation(ex1_file, monkeypatch, capsys, algo):
+    calls = []
+    run = fixpoint._run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[1])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(fixpoint, "_run", counting_run)
+    for argv in (
+        ["solve", ex1_file, "--algo", algo, "--template"],
+        ["solve", ex1_file, "--algo", algo, "--certify"],
+        ["check", ex1_file, "--algo", algo],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, (argv, calls)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("algo", ["of-zl", "of-fp"])
+def test_internal_error_is_one_line_exit_4(tmp_path, capsys, algo):
+    # one recursion level per priority value runs out of stack on priority 5000
+    path = tmp_path / "deep.gm"
+    path.write_text("0 5000 0 0;\n1 3 1 1;\n")
+    assert main(["solve", str(path), "--algo", algo]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError")
+    assert err.count("\n") == 1
+
+
+def test_bench_jobs_are_clamped(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+    corpus = make_corpus(tmp_path)
+    paths = sorted(str(p) for p in corpus.iterdir())
+    algos = ["of-zl", "n-zl"]
+    serial = bench.run_bench(paths, algos, 30)
+    for jobs, workers in ((10**9, 3), (2, 2)):
+        records = bench.run_bench(paths, algos, 30, jobs=jobs)
+        assert sizes[-1] == workers
+        assert [r.status for r in records] == [r.status for r in serial]
+    sizes.clear()
+    bench.run_bench(paths[:1], algos[:1], 30, jobs=8)  # one task: no pool
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+    bench.run_bench(paths, algos, 30, jobs=8)  # unknown core count: one process
+    assert sizes == []

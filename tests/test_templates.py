@@ -147,6 +147,31 @@ def test_even_strategy_trace_reuse(ex1, ex1_view):
         extract_even_strategy(ex1_view, region=Region.of(ex1.n, {0}))
 
 
+@pytest.mark.parametrize("use_live", [True, False])
+def test_even_strategy_from_odd_trace_matches_solving(ex1, g3, use_live):
+    games = [ex1, g3] + [g for _seed, _alpha, g in small_games(60, start_seed=300)]
+    for g in games:
+        view = SubgameView.full(g)
+        w_odd, odd_tr = solve_odd_fp(view, use_live=use_live)
+        solved = extract_even_strategy(view, use_live=use_live)
+        reused = extract_even_strategy(view, trace=odd_tr, use_live=use_live)
+        assert (reused.vertices, reused.choice) == (solved.vertices, solved.choice)
+        assert reused.vertices == w_odd.complement()
+        _, even_tr = solve_even_fp(view, use_live=use_live, return_trace=True)
+        from_even = extract_even_strategy(view, trace=even_tr, use_live=use_live)
+        assert (from_even.vertices, from_even.choice) == (solved.vertices, solved.choice)
+        # on a proper sub-view the Even region is the view minus Odd's, not a complement
+        if solved.vertices and w_odd:
+            sub = SubgameView(g, solved.vertices)
+            _, sub_tr = solve_odd_fp(sub, use_live=use_live)
+            on_sub = extract_even_strategy(sub, trace=sub_tr, use_live=use_live)
+            assert (on_sub.vertices, on_sub.choice) == (solved.vertices, solved.choice)
+        flip = Region.of(g.n, {0})
+        wrong = solved.vertices - flip if 0 in solved.vertices else solved.vertices | flip
+        with pytest.raises(ValueError):
+            extract_even_strategy(view, region=wrong, trace=odd_tr, use_live=use_live)
+
+
 def test_format_round_shapes(ex1, ex1_view):
     _, w_odd, template, strategy = rank_artifacts(ex1)
     text = format_template(ex1, template)
