@@ -58,7 +58,6 @@ from .templates import (
 from .zielonka import (
     RecursionArtifacts,
     SafeReachResult,
-    extract_templates_zielonka,
     safe_reach_even_fair,
     safe_reach_even_full,
     safe_reach_odd,
@@ -123,7 +122,6 @@ __all__ = [
     "safe_reach_even_full",
     "solve_zielonka_fair",
     "solve_zielonka_normal",
-    "extract_templates_zielonka",
     "CertifyResult",
     "certify_odd_template",
     "certify_even_strategy",

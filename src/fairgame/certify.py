@@ -1,24 +1,28 @@
 """Exhaustive certification of templates and strategies on small instances.
 
-A template or strategy is checked by enumerating every vertex subset that is
-closed under the kept edges and strongly connected, i.e. every set of
-vertices some compliant play can visit forever. The template side must see an
-odd maximum priority on all of them, the strategy side an even one. This is
-exponential in the vertex count and guarded by an edge bound; it serves as a
-ground-truth oracle for the solvers, not as a scalable checker.
+Both sides ask one question: is there a vertex set that some play can visit
+forever, with a top priority of the wrong parity? Each side describes the
+plays by two successor lists per region vertex: `must`, the successors a set
+has to keep inside (it is closed under them), and `may`, the successors the
+play can take. A single search walks every subset of the sorted region as a
+bit mask, in ascending order, and keeps the closed sets in which every member
+has a `may` edge inside and forward and backward reach from the lowest member
+both cover the set. The template side must see an odd maximum priority on all
+of them, the strategy side an even one. This is exponential in the vertex
+count and guarded by an edge bound; it serves as a ground-truth oracle for
+the solvers, not as a scalable checker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .game import EVEN, ODD, OddFairGame, Region
 from .templates import (
     EvenStrategy,
     OddTemplate,
+    _scc_components,
     validate_even_strategy,
     validate_odd_template,
 )
@@ -37,108 +41,65 @@ class CertifyResult:
         return self.status == "certified"
 
 
-def _strongly_connected(nodes: Set[int], edges: Iterable[Tuple[int, int]]) -> bool:
-    adj: Dict[int, List[int]] = {}
-    radj: Dict[int, List[int]] = {}
-    for (u, w) in edges:
-        adj.setdefault(u, []).append(w)
-        radj.setdefault(w, []).append(u)
-    start = next(iter(nodes))
-    for graph in (adj, radj):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in graph.get(v, ()):
-                if w in nodes and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != nodes:
-            return False
-    return True
+def _reach(adj: List[int], mask: int) -> int:
+    """Bits of mask reachable from its lowest bit along adj, inside mask."""
+    seen = frontier = mask & -mask
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen
 
 
-def _closure_strongly_connected(nodes: List[int], edges: Iterable[Tuple[int, int]]) -> bool:
-    """Independent connectivity check via boolean closure of the edge matrix."""
-    k = len(nodes)
-    pos = {v: i for i, v in enumerate(nodes)}
-    m = np.eye(k, dtype=bool)
-    for (u, w) in edges:
-        m[pos[u], pos[w]] = True
-    while True:
-        nxt = m | (m @ m)
-        if np.array_equal(nxt, m):
-            break
-        m = nxt
-    return bool(m.all())
+def _bad_set(
+    game: OddFairGame,
+    must: Dict[int, Sequence[int]],
+    may: Dict[int, Sequence[int]],
+    parity: int,
+) -> Optional[Tuple[List[int], FrozenSet[Tuple[int, int]]]]:
+    """First closed strongly connected set whose top priority has the parity.
 
+    must and may map every region vertex to successor lists. Subsets of the
+    sorted region are tried as bit masks in ascending order; the first one
+    that passes is returned, sorted, with its may edges.
+    """
+    verts = sorted(may)
+    m = len(verts)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    outside = 1 << m  # a target outside the region never lies in a mask
 
-def _subset_edges_odd(
-    game: OddFairGame, out_t: Dict[int, List[int]], members: Set[int]
-) -> Optional[List[Tuple[int, int]]]:
-    """Edges a compliant Odd play can use inside members, or None if not closed."""
-    edges = []
-    for v in members:
-        if game.owner[v] == ODD:
-            if not all(w in members for w in out_t[v]):
-                return None
-            edges.extend((v, w) for w in out_t[v])
-        else:
-            inside = [w for w in out_t[v] if w in members]
-            if not inside:
-                return None
-            edges.extend((v, w) for w in inside)
-    return edges
+    def bits(ws: Sequence[int]) -> int:
+        out = 0
+        for w in ws:
+            out |= bit.get(w, outside)
+        return out
 
-
-def _subset_edges_even(
-    game: OddFairGame, s: EvenStrategy, members: Set[int]
-) -> Optional[List[Tuple[int, int]]]:
-    """Edges a fair play against the strategy can use inside members."""
-    edges = []
-    for v in members:
-        if game.owner[v] == EVEN:
-            w = s.choice[v]
-            if w not in members:
-                return None
-            edges.append((v, w))
-        else:
-            if not all(w in members for w in game.live_succ[v]):
-                return None
-            inside = [w for w in game.succ[v] if w in s.vertices and w in members]
-            if not inside:
-                return None
-            edges.extend((v, w) for w in set(inside))
-    return edges
-
-
-def _verify_odd_counterexample(
-    game: OddFairGame, t: OddTemplate, members: Set[int]
-) -> bool:
-    out_t: Dict[int, List[int]] = {v: [] for v in t.vertices}
-    for (u, w) in t.edges:
-        out_t[u].append(w)
-    edges = _subset_edges_odd(game, out_t, members)
-    if edges is None:
-        return False
-    if not all(any(u == v for (u, _w) in edges) for v in members):
-        return False
-    if not _closure_strongly_connected(sorted(members), edges):
-        return False
-    return max(game.priority[v] for v in members) % 2 == 0
-
-
-def _verify_even_counterexample(
-    game: OddFairGame, s: EvenStrategy, members: Set[int]
-) -> bool:
-    edges = _subset_edges_even(game, s, members)
-    if edges is None:
-        return False
-    if not all(any(u == v for (u, _w) in edges) for v in members):
-        return False
-    if not _closure_strongly_connected(sorted(members), edges):
-        return False
-    return max(game.priority[v] for v in members) % 2 == 1
+    need = [bits(must[v]) for v in verts]
+    fwd = [bits(may[v]) for v in verts]
+    bwd = [sum(1 << i for i in range(m) if (fwd[i] >> j) & 1) for j in range(m)]
+    by_priority = sorted(((game.priority[v], bit[v]) for v in verts), reverse=True)
+    for mask in range(1, 1 << m):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            if need[i] & ~mask or not fwd[i] & mask:
+                break
+            rest ^= low
+        if rest or next(p for p, b in by_priority if b & mask) % 2 != parity:
+            continue
+        if _reach(fwd, mask) != mask or _reach(bwd, mask) != mask:
+            continue
+        members = [v for v in verts if bit[v] & mask]
+        inside = set(members)
+        adj = {v: [w for w in may[v] if w in inside] for v in members}
+        assert len(_scc_components(members, adj)) == 1, "bit-mask reach disagrees with Tarjan"
+        return members, frozenset((v, w) for v in members for w in adj[v])
+    return None
 
 
 def certify_odd_template(
@@ -153,26 +114,19 @@ def certify_odd_template(
             "too_large",
             f"{len(t.edges)} template edges exceed the certification bound of {max_edges}",
         )
-    verts = sorted(t.vertices)
-    out_t: Dict[int, List[int]] = {v: [] for v in verts}
+    may: Dict[int, List[int]] = {v: [] for v in t.vertices}
     for (u, w) in t.edges:
-        out_t[u].append(w)
-    m = len(verts)
-    for mask in range(1, 1 << m):
-        members = {verts[i] for i in range(m) if (mask >> i) & 1}
-        edges = _subset_edges_odd(game, out_t, members)
-        if edges is None:
-            continue
-        if not _strongly_connected(members, edges):
-            continue
-        if max(game.priority[v] for v in members) % 2 == 0:
-            assert _verify_odd_counterexample(game, t, members)
-            return CertifyResult(
-                "rejected",
-                "a compliant play can stay on an even-dominated cycle through "
-                + ", ".join(game.label(v) for v in sorted(members)),
-                frozenset(edges),
-            )
+        may[u].append(w)
+    must = {v: ws if game.owner[v] == ODD else () for v, ws in may.items()}
+    found = _bad_set(game, must, may, EVEN)
+    if found is not None:
+        members, edges = found
+        return CertifyResult(
+            "rejected",
+            "a compliant play can stay on an even-dominated cycle through "
+            + ", ".join(game.label(v) for v in members),
+            edges,
+        )
     return CertifyResult("certified", "all compliant cycles are odd-dominated")
 
 
@@ -183,31 +137,29 @@ def certify_even_strategy(
     problem = validate_even_strategy(game, s)
     if problem is not None:
         return CertifyResult("rejected", f"invalid strategy: {problem}")
-    edge_count = len(s.choice) + sum(
-        len(set(game.succ[v])) for v in s.vertices if game.owner[v] == ODD
-    )
+    must: Dict[int, Sequence[int]] = {}
+    may: Dict[int, Sequence[int]] = {}
+    for v in s.vertices:
+        if game.owner[v] == EVEN:
+            must[v] = may[v] = (s.choice[v],)
+        else:
+            # a valid strategy's region holds every successor of its Odd vertices
+            must[v], may[v] = game.live_succ[v], tuple(dict.fromkeys(game.succ[v]))
+    edge_count = sum(len(ws) for ws in may.values())
     if edge_count > max_edges:
         return CertifyResult(
             "too_large",
             f"{edge_count} strategy edges exceed the certification bound of {max_edges}",
         )
-    verts = sorted(s.vertices)
-    m = len(verts)
-    for mask in range(1, 1 << m):
-        members = {verts[i] for i in range(m) if (mask >> i) & 1}
-        edges = _subset_edges_even(game, s, members)
-        if edges is None:
-            continue
-        if not _strongly_connected(members, edges):
-            continue
-        if max(game.priority[v] for v in members) % 2 == 1:
-            assert _verify_even_counterexample(game, s, members)
-            return CertifyResult(
-                "rejected",
-                "a fair play against the strategy can stay on an odd-dominated "
-                "cycle through " + ", ".join(game.label(v) for v in sorted(members)),
-                frozenset(edges),
-            )
+    found = _bad_set(game, must, may, ODD)
+    if found is not None:
+        members, edges = found
+        return CertifyResult(
+            "rejected",
+            "a fair play against the strategy can stay on an odd-dominated "
+            "cycle through " + ", ".join(game.label(v) for v in members),
+            edges,
+        )
     return CertifyResult("certified", "all fair plays against the strategy are even-dominated")
 
 
@@ -224,18 +176,18 @@ def certify_partition(
     full = Region.full(game.n)
     if (w_even | w_odd) != full or not w_even.isdisjoint(w_odd):
         return CertifyResult("rejected", "not a partition")
-    for v in w_even:
-        succs = set(game.succ[v])
-        if game.owner[v] == ODD and not succs <= set(w_even):
-            return CertifyResult("rejected", f"not a trap: odd vertex {v} can leave w_even")
-        if game.owner[v] == EVEN and not succs & set(w_even):
-            return CertifyResult("rejected", f"not a trap: even vertex {v} is forced out of w_even")
-    for v in w_odd:
-        succs = set(game.succ[v])
-        if game.owner[v] == EVEN and not succs <= set(w_odd):
-            return CertifyResult("rejected", f"not a trap: even vertex {v} can leave w_odd")
-        if game.owner[v] == ODD and not succs & set(w_odd):
-            return CertifyResult("rejected", f"not a trap: odd vertex {v} is forced out of w_odd")
+    for region, keeper, name in ((w_even, EVEN, "w_even"), (w_odd, ODD, "w_odd")):
+        verts = list(region)
+        inside = set(verts)
+        for v in verts:
+            who = "even" if game.owner[v] == EVEN else "odd"
+            if game.owner[v] != keeper and not all(w in inside for w in game.succ[v]):
+                problem = f"can leave {name}"
+            elif game.owner[v] == keeper and not any(w in inside for w in game.succ[v]):
+                problem = f"is forced out of {name}"
+            else:
+                continue
+            return CertifyResult("rejected", f"not a trap: {who} vertex {v} {problem}")
     if strategy.vertices != w_even:
         return CertifyResult("rejected", "strategy region does not match w_even")
     if template.vertices != w_odd:

@@ -214,11 +214,9 @@ def solve_even_fp(
     ranks: bool = False,
     snapshots: bool = False,
     deadline: Optional[Deadline] = None,
-    return_trace: bool = False,
-):
-    """Vertices Even wins. With return_trace, also the solve trace."""
-    region, trace = _run(view, EVEN, use_live, ranks, snapshots, deadline)
-    return (region, trace) if return_trace else region
+) -> Tuple[Region, FpTrace]:
+    """Vertices Even wins (under fairness when use_live), plus the solve trace."""
+    return _run(view, EVEN, use_live, ranks, snapshots, deadline)
 
 
 def extract_ranks(trace: FpTrace) -> Dict[int, Rank]:

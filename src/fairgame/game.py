@@ -14,10 +14,6 @@ EVEN = 0
 ODD = 1
 
 
-def opponent(player: int) -> int:
-    return 1 - player
-
-
 class SolverTimeout(Exception):
     """Raised by a solver when its cooperative deadline expires."""
 
@@ -116,9 +112,6 @@ class Region:
     def isdisjoint(self, other: "Region") -> bool:
         self._check(other)
         return self.mask & other.mask == 0
-
-    def to_set(self) -> set:
-        return set(self)
 
     def __repr__(self) -> str:
         return f"Region({self.n}, {{{', '.join(map(str, self))}}})"

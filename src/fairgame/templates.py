@@ -80,8 +80,7 @@ def _scc_components(vertices: Iterable[int], adj: Dict[int, list]) -> list:
     return comps
 
 
-def _cycle_vertices(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> set:
-    vset = set(vertices)
+def _cycle_vertices(vset: set, edges: Iterable[Tuple[int, int]]) -> set:
     adj: Dict[int, list] = {}
     eset = set()
     for (u, w) in edges:
@@ -105,14 +104,15 @@ def close_live_cycles(
     Live edges whose target falls outside the region are not added; the
     validator reports such templates.
     """
+    vset = set(vertices)
     eset = set(edges)
     while True:
         added = False
-        for v in _cycle_vertices(vertices, eset):
+        for v in _cycle_vertices(vset, eset):
             if game.owner[v] != ODD:
                 continue
             for w in game.live_succ[v]:
-                if w in vertices and (v, w) not in eset:
+                if w in vset and (v, w) not in eset:
                     eset.add((v, w))
                     added = True
         if not added:
@@ -131,8 +131,10 @@ def build_rank_template(
     """
     game = view.game
     edges = set()
-    for v in region:
-        inside = [w for w in game.succ[v] if w in region]
+    verts = list(region)
+    members = set(verts)
+    for v in verts:
+        inside = [w for w in game.succ[v] if w in members]
         if game.owner[v] == EVEN:
             edges.update((v, w) for w in inside)
         else:
@@ -146,18 +148,20 @@ def build_rank_template(
 def validate_odd_template(game: OddFairGame, t: OddTemplate) -> Optional[str]:
     """First shape violation of an Odd template, or None."""
     succ_sets = [set(ws) for ws in game.succ]
+    verts = list(t.vertices)
+    region = set(verts)
     for (u, w) in t.edges:
-        if u not in t.vertices or w not in t.vertices:
+        if u not in region or w not in region:
             return f"template edge ({u}, {w}) leaves the region"
         if w not in succ_sets[u]:
             return f"template edge ({u}, {w}) is not a game edge"
-    out: Dict[int, set] = {v: set() for v in t.vertices}
+    out: Dict[int, set] = {v: set() for v in verts}
     for (u, w) in t.edges:
         out[u].add(w)
-    on_cycle = _cycle_vertices(t.vertices, t.edges)
-    for v in t.vertices:
+    on_cycle = _cycle_vertices(region, t.edges)
+    for v in verts:
         if game.owner[v] == EVEN:
-            if not succ_sets[v] <= set(t.vertices):
+            if not succ_sets[v] <= region:
                 return f"even vertex {v} has an edge leaving the region"
             if out[v] != succ_sets[v]:
                 return f"even vertex {v} does not keep all its edges"
@@ -177,20 +181,22 @@ def validate_odd_template(game: OddFairGame, t: OddTemplate) -> Optional[str]:
 def validate_even_strategy(game: OddFairGame, s: EvenStrategy) -> Optional[str]:
     """First shape violation of an Even strategy, or None."""
     succ_sets = [set(ws) for ws in game.succ]
-    for v in s.vertices:
+    verts = list(s.vertices)
+    region = set(verts)
+    for v in verts:
         if game.owner[v] == EVEN:
             if v not in s.choice:
                 return f"even vertex {v} has no chosen edge"
             w = s.choice[v]
             if w not in succ_sets[v]:
                 return f"chosen edge ({v}, {w}) is not a game edge"
-            if w not in s.vertices:
+            if w not in region:
                 return f"chosen edge ({v}, {w}) leaves the region"
         else:
-            if not succ_sets[v] <= set(s.vertices):
+            if not succ_sets[v] <= region:
                 return f"odd vertex {v} can leave the region"
     for v in s.choice:
-        if game.owner[v] != EVEN or v not in s.vertices:
+        if game.owner[v] != EVEN or v not in region:
             return f"choice given for vertex {v} outside the even region"
     return None
 
@@ -220,7 +226,7 @@ def extract_even_strategy(
 
     game = view.game
     if trace is None:
-        reg = solve_even_fp(view, use_live=use_live, deadline=deadline)
+        reg, _ = solve_even_fp(view, use_live=use_live, deadline=deadline)
     elif trace.side == EVEN:
         reg = trace.region
     else:

@@ -459,14 +459,3 @@ def solve_zielonka_normal(
 ) -> RecursionArtifacts:
     """Classical winning regions; live edges are ignored."""
     return _top(view, False, extract, check, deadline)
-
-
-def extract_templates_zielonka(
-    view: SubgameView,
-    *,
-    use_live: bool = True,
-    check: bool = False,
-    deadline: Optional[Deadline] = None,
-) -> RecursionArtifacts:
-    """Solve and return regions together with the Odd template and Even strategy."""
-    return _top(view, use_live, True, check, deadline)

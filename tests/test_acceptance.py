@@ -29,7 +29,6 @@ from fairgame.transformers import (
     pre_forall,
 )
 from fairgame.zielonka import (
-    extract_templates_zielonka,
     safe_reach_even_fair,
     safe_reach_even_full,
     solve_zielonka_fair,
@@ -146,7 +145,7 @@ def test_criterion_5_certified_artifacts():
             continue
         if not res.certified:
             problems.append((seed, "fixpoint artifacts", res.detail))
-        art = extract_templates_zielonka(view)
+        art = solve_zielonka_fair(view, extract=True)
         res2 = certify_partition(
             g, art.win_even, art.win_odd, art.even_strategy, art.odd_template
         )
@@ -203,7 +202,7 @@ def test_criterion_6_invariants():
         for alpha in (0, 30, 80, 100):
             g = mutate_liveness(base, alpha, 26000 + i)
             live = set(g.live)
-            w_even = solve_even_fp(SubgameView.full(g))
+            w_even, _ = solve_even_fp(SubgameView.full(g))
             if prev_live is not None:
                 if not prev_live <= live:
                     problems.append((i, alpha, "live sets not nested"))
@@ -243,7 +242,7 @@ def test_criterion_6_invariants():
             problems.append((seed, "rank template rejected"))
         if validate_even_strategy(g, extract_even_strategy(view)) is not None:
             problems.append((seed, "extracted strategy rejected"))
-        art = extract_templates_zielonka(view)
+        art = solve_zielonka_fair(view, extract=True)
         if validate_odd_template(g, art.odd_template) is not None:
             problems.append((seed, "recursive template rejected"))
         if validate_even_strategy(g, art.even_strategy) is not None:

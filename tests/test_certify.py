@@ -1,4 +1,4 @@
-from fairgame.game import Region, SubgameView
+from fairgame.game import EVEN, ODD, Region, SubgameView
 from fairgame.certify import (
     DEFAULT_MAX_EDGES,
     certify_even_strategy,
@@ -6,6 +6,8 @@ from fairgame.certify import (
     certify_partition,
 )
 from fairgame.fixpoint import extract_ranks, solve_odd_fp
+from fairgame.pgfile import mutate_liveness, random_game
+from fairgame.templates import validate_even_strategy, validate_odd_template
 from fairgame.templates import EvenStrategy, OddTemplate, build_rank_template, extract_even_strategy
 from fairgame.zielonka import solve_zielonka_fair
 
@@ -138,3 +140,227 @@ def test_tampered_solver_output_is_caught():
         assert res.status != "certified"
         caught += 1
     assert caught >= 20
+
+
+def test_partition_checks_iterate_regions_a_fixed_number_of_times(monkeypatch):
+    # membership is tested against sets built once per region, so the number
+    # of region walks stays constant while the game grows
+    calls = []
+    walk = Region.__iter__
+
+    def counted(self):
+        calls.append(self.n)
+        return walk(self)
+
+    counts = {}
+    for n in (500, 2000):
+        g = random_game(n, 4, 31)
+        art = solve_zielonka_fair(SubgameView.full(g), extract=True)
+        monkeypatch.setattr(Region, "__iter__", counted)
+        res = certify_partition(g, art.win_even, art.win_odd, art.even_strategy, art.odd_template)
+        monkeypatch.setattr(Region, "__iter__", walk)
+        assert res.status == "too_large", res.detail
+        counts[n] = len(calls)
+        calls.clear()
+    assert counts[500] == counts[2000] <= 8, counts
+
+
+# -- reference: the set-based subset search that the bit-mask search replaced --
+
+
+def _ref_strongly_connected(nodes, edges):
+    adj, radj = {}, {}
+    for (u, w) in edges:
+        adj.setdefault(u, []).append(w)
+        radj.setdefault(w, []).append(u)
+    start = next(iter(nodes))
+    for graph in (adj, radj):
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in graph.get(v, ()):
+                if w in nodes and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if seen != nodes:
+            return False
+    return True
+
+
+def _ref_edges_odd(game, out_t, members):
+    edges = []
+    for v in members:
+        if game.owner[v] == ODD:
+            if not all(w in members for w in out_t[v]):
+                return None
+            edges.extend((v, w) for w in out_t[v])
+        else:
+            inside = [w for w in out_t[v] if w in members]
+            if not inside:
+                return None
+            edges.extend((v, w) for w in inside)
+    return edges
+
+
+def _ref_edges_even(game, s, members):
+    edges = []
+    for v in members:
+        if game.owner[v] == EVEN:
+            w = s.choice[v]
+            if w not in members:
+                return None
+            edges.append((v, w))
+        else:
+            if not all(w in members for w in game.live_succ[v]):
+                return None
+            inside = [w for w in game.succ[v] if w in s.vertices and w in members]
+            if not inside:
+                return None
+            edges.extend((v, w) for w in set(inside))
+    return edges
+
+
+def _ref_search(game, verts, edges_of, parity):
+    m = len(verts)
+    for mask in range(1, 1 << m):
+        members = {verts[i] for i in range(m) if (mask >> i) & 1}
+        edges = edges_of(members)
+        if edges is None or not _ref_strongly_connected(members, edges):
+            continue
+        if max(game.priority[v] for v in members) % 2 == parity:
+            return ", ".join(game.label(v) for v in sorted(members)), frozenset(edges)
+    return None
+
+
+def _ref_template(game, t, max_edges):
+    problem = validate_odd_template(game, t)
+    if problem is not None:
+        return ("rejected", f"invalid template: {problem}", None)
+    if len(t.edges) > max_edges:
+        return ("too_large", f"{len(t.edges)} template edges exceed the certification bound of {max_edges}", None)
+    verts = sorted(t.vertices)
+    out_t = {v: [] for v in verts}
+    for (u, w) in t.edges:
+        out_t[u].append(w)
+    found = _ref_search(game, verts, lambda members: _ref_edges_odd(game, out_t, members), EVEN)
+    if found is not None:
+        return ("rejected", "a compliant play can stay on an even-dominated cycle through " + found[0], found[1])
+    return ("certified", "all compliant cycles are odd-dominated", None)
+
+
+def _ref_strategy(game, s, max_edges):
+    problem = validate_even_strategy(game, s)
+    if problem is not None:
+        return ("rejected", f"invalid strategy: {problem}", None)
+    edge_count = len(s.choice) + sum(len(set(game.succ[v])) for v in s.vertices if game.owner[v] == ODD)
+    if edge_count > max_edges:
+        return ("too_large", f"{edge_count} strategy edges exceed the certification bound of {max_edges}", None)
+    found = _ref_search(game, sorted(s.vertices), lambda members: _ref_edges_even(game, s, members), ODD)
+    if found is not None:
+        return (
+            "rejected",
+            "a fair play against the strategy can stay on an odd-dominated cycle through " + found[0],
+            found[1],
+        )
+    return ("certified", "all fair plays against the strategy are even-dominated", None)
+
+
+def _ref_partition(game, w_even, w_odd, s, t, max_edges):
+    if (w_even | w_odd) != Region.full(game.n) or not w_even.isdisjoint(w_odd):
+        return ("rejected", "not a partition", None)
+    for v in w_even:
+        succs = set(game.succ[v])
+        if game.owner[v] == ODD and not succs <= set(w_even):
+            return ("rejected", f"not a trap: odd vertex {v} can leave w_even", None)
+        if game.owner[v] == EVEN and not succs & set(w_even):
+            return ("rejected", f"not a trap: even vertex {v} is forced out of w_even", None)
+    for v in w_odd:
+        succs = set(game.succ[v])
+        if game.owner[v] == EVEN and not succs <= set(w_odd):
+            return ("rejected", f"not a trap: even vertex {v} can leave w_odd", None)
+        if game.owner[v] == ODD and not succs & set(w_odd):
+            return ("rejected", f"not a trap: odd vertex {v} is forced out of w_odd", None)
+    if s.vertices != w_even:
+        return ("rejected", "strategy region does not match w_even", None)
+    if t.vertices != w_odd:
+        return ("rejected", "template region does not match w_odd", None)
+    for res in (
+        _ref_strategy(game, s, max_edges) if w_even else None,
+        _ref_template(game, t, max_edges) if w_odd else None,
+    ):
+        if res is not None and res[0] != "certified":
+            return res
+    return ("certified", "both regions certified", None)
+
+
+def _claims(g):
+    """Solver claims on g plus one redirected, one swapped and one moved variant."""
+    view = SubgameView.full(g)
+    art = solve_zielonka_fair(view, extract=True)
+    w_even, w_odd, s, t = art.win_even, art.win_odd, art.even_strategy, art.odd_template
+    yield w_even, w_odd, s, t
+    fp_odd, tr = solve_odd_fp(view, ranks=True)
+    yield w_even, w_odd, s, build_rank_template(view, fp_odd, extract_ranks(tr) if fp_odd else {})
+    for v in sorted(s.choice):
+        alts = sorted((w for w in g.succ[v] if w != s.choice[v]), key=lambda w: (w not in w_even, w))
+        if alts:
+            yield w_even, w_odd, EvenStrategy(g.n, w_even, {**s.choice, v: alts[0]}), t
+            break
+    for (u, w) in sorted(t.edges):
+        alts = [x for x in g.succ[u] if x in w_odd and (u, x) not in t.edges]
+        if g.owner[u] == ODD and alts:
+            edges = (t.edges - {(u, w)}) | {(u, alts[0])}
+            yield w_even, w_odd, s, OddTemplate(g.n, w_odd, frozenset(edges))
+            break
+    if w_odd:
+        v = min(w_odd)
+        moved_even = w_even | Region.of(g.n, {v})
+        moved_odd = w_odd - Region.of(g.n, {v})
+        yield moved_even, moved_odd, EvenStrategy(g.n, moved_even, dict(s.choice)), OddTemplate(
+            g.n, moved_odd, frozenset((a, b) for (a, b) in t.edges if v not in (a, b))
+        )
+
+
+def _outcome(res):
+    return (res.status, res.detail, res.counterexample)
+
+
+def _differential(games, max_edges):
+    found = {"strategy": 0, "template": 0}
+    for _seed, _alpha, g in games:
+        for w_even, w_odd, s, t in _claims(g):
+            got = _outcome(certify_even_strategy(g, s, max_edges=max_edges))
+            assert got == _ref_strategy(g, s, max_edges)
+            found["strategy"] += got[2] is not None
+            got = _outcome(certify_odd_template(g, t, max_edges=max_edges))
+            assert got == _ref_template(g, t, max_edges)
+            found["template"] += got[2] is not None
+            got = _outcome(certify_partition(g, w_even, w_odd, s, t, max_edges=max_edges))
+            assert got == _ref_partition(g, w_even, w_odd, s, t, max_edges)
+    return found
+
+
+def _over_default_bound(g):
+    return any(
+        "too_large" in (certify_even_strategy(g, s).status, certify_odd_template(g, t).status)
+        for _w_even, _w_odd, s, t in _claims(g)
+    )
+
+
+def test_bit_mask_search_matches_set_based_reference():
+    found = _differential(small_games(600, max_n=8, start_seed=9100), DEFAULT_MAX_EDGES)
+    assert found["strategy"] >= 100 and found["template"] >= 30, found
+
+
+def test_bit_mask_search_matches_reference_under_a_raised_bound():
+    # denser 6-10 vertex games; keep those with a claim over the default bound
+    games = []
+    for seed in range(9700, 10300):
+        base = random_game(6 + seed % 5, 1 + seed % 5, seed, min_degree=2)
+        g = mutate_liveness(base, (0, 30, 50, 80, 100)[seed % 5], seed)
+        if _over_default_bound(g):
+            games.append((seed, None, g))
+    assert len(games) >= 40
+    found = _differential(games, 24)
+    assert found["strategy"] >= 5, found

@@ -30,7 +30,7 @@ def test_golden_regions(ex1, ex1_view):
     w_odd, _ = solve_odd_fp(ex1_view)
     assert names_of(ex1, w_odd) == EX1_W_ODD
     assert names_of(ex1, w_odd.complement()) == ["2a"]
-    w_even = solve_even_fp(ex1_view)
+    w_even, _ = solve_even_fp(ex1_view)
     assert names_of(ex1, w_even) == ["2a"]
 
 
@@ -122,7 +122,7 @@ def test_solvers_partition_and_complement():
         view = SubgameView.full(g)
         for use_live in (True, False):
             w_odd, _ = solve_odd_fp(view, use_live=use_live, ranks=False)
-            w_even = solve_even_fp(view, use_live=use_live)
+            w_even, _ = solve_even_fp(view, use_live=use_live)
             assert w_even == w_odd.complement()
 
 
@@ -147,8 +147,8 @@ def test_fairness_only_helps_even():
 def test_g3_flip():
     g = make_g3()
     view = SubgameView.full(g)
-    fair = solve_even_fp(view, use_live=True)
-    normal = solve_even_fp(view, use_live=False)
+    fair, _ = solve_even_fp(view, use_live=True)
+    normal, _ = solve_even_fp(view, use_live=False)
     assert set(fair) == {0, 1}
     assert set(normal) == {1}
 
@@ -249,7 +249,7 @@ def test_m_set_matches_all_ones_ranks():
 
 
 def test_m_set_requires_odd_side_trace(ex1_view):
-    _, tr = solve_even_fp(ex1_view, ranks=True, return_trace=True)
+    _, tr = solve_even_fp(ex1_view, ranks=True)
     with pytest.raises(ValueError):
         m_set(tr)
 

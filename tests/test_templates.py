@@ -14,7 +14,7 @@ from fairgame.templates import (
     validate_even_strategy,
     validate_odd_template,
 )
-from fairgame.zielonka import extract_templates_zielonka
+from fairgame.zielonka import solve_zielonka_fair
 
 from conftest import build_game, small_games
 
@@ -53,7 +53,7 @@ def test_golden_even_strategy(ex1, ex1_view):
 def test_golden_both_routes_certify(ex1, ex1_view):
     w_even, w_odd, template, strategy = rank_artifacts(ex1)
     assert certify_partition(ex1, w_even, w_odd, strategy, template).certified
-    art = extract_templates_zielonka(ex1_view)
+    art = solve_zielonka_fair(ex1_view, extract=True)
     assert certify_partition(
         ex1, art.win_even, art.win_odd, art.even_strategy, art.odd_template
     ).certified
@@ -120,7 +120,7 @@ def test_even_strategy_needs_recursion_not_ranks():
         live=((1, 7), (3, 2), (3, 3), (4, 2), (6, 0)),
     )
     view = SubgameView.full(g)
-    w_even = solve_even_fp(view)
+    w_even, _ = solve_even_fp(view)
     assert w_even == Region.full(8)
     s = extract_even_strategy(view)
     assert validate_even_strategy(g, s) is None
@@ -140,7 +140,7 @@ def test_even_strategy_regression_sweep():
 
 
 def test_even_strategy_trace_reuse(ex1, ex1_view):
-    _, tr = solve_even_fp(ex1_view, return_trace=True)
+    _, tr = solve_even_fp(ex1_view)
     s = extract_even_strategy(ex1_view, trace=tr)
     assert set(s.vertices) == {1}
     with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ def test_even_strategy_from_odd_trace_matches_solving(ex1, g3, use_live):
         reused = extract_even_strategy(view, trace=odd_tr, use_live=use_live)
         assert (reused.vertices, reused.choice) == (solved.vertices, solved.choice)
         assert reused.vertices == w_odd.complement()
-        _, even_tr = solve_even_fp(view, use_live=use_live, return_trace=True)
+        _, even_tr = solve_even_fp(view, use_live=use_live)
         from_even = extract_even_strategy(view, trace=even_tr, use_live=use_live)
         assert (from_even.vertices, from_even.choice) == (solved.vertices, solved.choice)
         # on a proper sub-view the Even region is the view minus Odd's, not a complement
@@ -190,7 +190,7 @@ def test_both_routes_certify_on_smalls():
         w_even, w_odd, template, strategy = rank_artifacts(g)
         res = certify_partition(g, w_even, w_odd, strategy, template)
         assert res.status != "rejected", (seed, res.detail)
-        art = extract_templates_zielonka(SubgameView.full(g))
+        art = solve_zielonka_fair(SubgameView.full(g), extract=True)
         assert art.win_odd == w_odd
         res2 = certify_partition(
             g, art.win_even, art.win_odd, art.even_strategy, art.odd_template
