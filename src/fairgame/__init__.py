@@ -60,7 +60,6 @@ from .zielonka import (
     SafeReachResult,
     safe_reach_even_fair,
     safe_reach_even_full,
-    safe_reach_odd,
     solve_zielonka_fair,
     solve_zielonka_normal,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "format_strategy",
     "SafeReachResult",
     "RecursionArtifacts",
-    "safe_reach_odd",
     "safe_reach_even_fair",
     "safe_reach_even_full",
     "solve_zielonka_fair",

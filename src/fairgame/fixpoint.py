@@ -1,11 +1,14 @@
 """Nested fixed-point solvers for the two players.
 
-Both solvers walk the same alternating mu/nu ladder over priority levels
-l, l-1, ..., 1 where l is the least even upper bound of the active
-priorities. The Odd solver computes the vertices Odd wins under the fairness
-assumption on live edges; the Even solver is its dual. Passing use_live=False
-empties the live-edge operators, which yields the classical (fairness-free)
-winning regions.
+Both solvers walk the same alternating mu/nu ladder over levels l, l-1,
+..., 1 where l is the least even upper bound of the active levels. Levels
+are the game's dense relabelling of its priorities (`OddFairGame.level`,
+same order and parity), so the ladder has one level per present priority
+class, not one per priority value, and trace addresses (FpTrace.l, counters,
+snapshot keys, rank components) name levels. The Odd solver computes the
+vertices Odd wins under the fairness assumption on live edges; the Even
+solver is its dual. Passing use_live=False empties the live-edge operators,
+which yields the classical (fairness-free) winning regions.
 
 A solve can record, per vertex, the iteration index at which the vertex first
 entered each mu variable during first-pass contexts. Those indices are the
@@ -33,18 +36,6 @@ class Rank:
     def interleaved(self) -> Tuple[int, ...]:
         """Components padded with zeros at the intermediate levels."""
         return tuple(x for c in self.components for x in (c, 0))
-
-    def ge(self, other: "Rank", bound: Optional[int] = None) -> bool:
-        a, b = self.interleaved(), other.interleaved()
-        if bound is not None:
-            a, b = a[:bound], b[:bound]
-        return a >= b
-
-    def gt(self, other: "Rank", bound: Optional[int] = None) -> bool:
-        a, b = self.interleaved(), other.interleaved()
-        if bound is not None:
-            a, b = a[:bound], b[:bound]
-        return a > b
 
 
 @dataclass
@@ -121,10 +112,11 @@ def _run(
         if hit is not None and hit[0] == key:
             return hit[1]
         yj, xj1 = var[j], var[j - 1]
+        cy = K.count_in(yj)  # shared by both operators of the term
         if side == ODD:
-            val = above[j] | (not_c[j] & K.npre(yj, xj1)) | (C[j] & K.cpre(ODD, yj))
+            val = above[j] | (not_c[j] & K.npre_of(cy, xj1)) | (C[j] & K.cpre_of(ODD, cy))
         else:
-            val = (C[j] & K.cpre(EVEN, yj)) | (below[j] & K.apre(yj, xj1))
+            val = (C[j] & K.cpre_of(EVEN, cy)) | (below[j] & K.apre_of(cy, xj1))
         memo[j] = (key, val)
         return val
 

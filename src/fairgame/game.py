@@ -2,13 +2,15 @@
 
 Vertices are dense 0-based ints internally; original input ids and optional
 names are kept for output. Priorities are normalized to be >= 1 (a uniform +2
-shift is applied iff any input priority is 0, which preserves parity).
+shift is applied iff any input priority is 0, which preserves parity). The
+solvers run on levels, a dense relabelling of the normalized priorities that
+keeps their order and parity.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 EVEN = 0
 ODD = 1
@@ -121,8 +123,13 @@ class OddFairGame:
     """A parity game with designated live edges out of Odd vertices.
 
     `priorities` passed to the constructor are the original input priorities;
-    `self.priority` holds the normalized ones (>= 1). Successor order is input
-    order. The structure is immutable after construction.
+    `self.priority` holds the normalized ones (>= 1). `self.level` relabels
+    them densely: the lowest present priority becomes 1 if odd and 2 if even,
+    and each higher one the smallest value of its own parity above the level
+    below it. Classes, their order and their parity are unchanged, and
+    `level == priority` on a game whose priorities leave no removable gap.
+    Successor order is input order. The structure is immutable after
+    construction.
     """
 
     def __init__(
@@ -146,6 +153,7 @@ class OddFairGame:
         self.original_priority = tuple(priorities)
         self.shift = 2 if any(p == 0 for p in priorities) else 0
         self.priority = tuple(p + self.shift for p in priorities)
+        self.level = _dense_levels(self.priority)
         self.succ = tuple(tuple(ws) for ws in successors)
         self.live = frozenset((u, w) for (u, w) in live_edges)
         by_source = {}
@@ -181,7 +189,7 @@ class OddFairGame:
         return name if name is not None else str(self.original_ids[v])
 
     def arrays(self):
-        """Flat numpy edge/owner/priority arrays, built lazily and cached."""
+        """Flat numpy edge/owner/level arrays, built lazily and cached."""
         if self._arrays is None:
             import numpy as np
 
@@ -201,9 +209,19 @@ class OddFairGame:
                 np.asarray(lsrc, dtype=np.int64),
                 np.asarray(ldst, dtype=np.int64),
                 np.asarray(self.owner, dtype=np.int8),
-                np.asarray(self.priority, dtype=np.int64),
+                np.asarray(self.level, dtype=np.int64),
             )
         return self._arrays
+
+
+def _dense_levels(priority: Tuple[int, ...]) -> Tuple[int, ...]:
+    """`OddFairGame.level` of the normalized priorities."""
+    image = {}
+    last = 0
+    for p in sorted(set(priority)):
+        last += 1 if (last + 1) % 2 == p % 2 else 2
+        image[p] = last
+    return tuple(image[p] for p in priority)
 
 
 def validate(game: OddFairGame) -> Optional[str]:
@@ -223,9 +241,9 @@ def validate(game: OddFairGame) -> Optional[str]:
 
 
 def least_even_upperbound(game: OddFairGame, active: Optional[Region] = None) -> int:
-    """Smallest even l >= 2 with no (normalized) priority above l among the given vertices."""
+    """Smallest even l >= 2 with no level (`game.level`) above l among the given vertices."""
     verts = active if active is not None else Region.full(game.n)
-    top = max((game.priority[v] for v in verts), default=0)
+    top = max((game.level[v] for v in verts), default=0)
     l = top if top % 2 == 0 else top + 1
     return max(l, 2)
 

@@ -81,17 +81,27 @@ class Kernels:
         return (self.live_count_in(s) == self.ldeg) & self.odd_mask
 
     def cpre(self, player: int, s: np.ndarray) -> np.ndarray:
-        cnt = self.count_in(s)
-        return ((cnt > 0) & self.mask_for(player)) | (
-            (cnt == self.deg) & self.mask_for(1 - player)
-        )
+        return self.cpre_of(player, self.count_in(s))
 
     def apre(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.cpre(EVEN, t) | (self.lpre_exists(t) & self.pre_forall(ODD, s))
+        return self.apre_of(self.count_in(s), t)
 
     def npre(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return self.npre_of(self.count_in(s), t)
+
+    # -- the same operators over cs = count_in(s), so a caller can share it --
+
+    def cpre_of(self, player: int, cs: np.ndarray) -> np.ndarray:
+        return ((cs > 0) & self.mask_for(player)) | (
+            (cs == self.deg) & self.mask_for(1 - player)
+        )
+
+    def apre_of(self, cs: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return self.cpre(EVEN, t) | (self.lpre_exists(t) & (cs == self.deg) & self.odd_mask)
+
+    def npre_of(self, cs: np.ndarray, t: np.ndarray) -> np.ndarray:
         return self.cpre(ODD, t) & (
-            self.even_mask | self.lpre_forall(t) | self.pre_exists(ODD, s)
+            self.even_mask | self.lpre_forall(t) | ((cs > 0) & self.odd_mask)
         )
 
 

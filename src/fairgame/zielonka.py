@@ -1,7 +1,10 @@
 """Recursive attractor-based solver, with and without the fairness assumption.
 
 The recursion peels the top priority class, solves the rest, and removes
-opponent attractors until stable. Under the fairness assumption Even's
+opponent attractors until stable. It steps through the game's levels
+(`OddFairGame.level`, the dense relabelling of its priorities with the same
+order and parity), so its depth grows with the number of distinct
+priorities, not with their values. Under the fairness assumption Even's
 attractor additionally pulls in Odd vertices with a live edge into the
 attracted set, which overapproximates Even's classical reach. An Odd-level
 call therefore runs in rounds: the surviving core is grown by one plain Odd
@@ -217,11 +220,6 @@ def _public_reach(view: SubgameView, player: int, fair: bool, S: Region, R: Regi
     return SafeReachResult(Region.of(view.n, reach), rank, edges)
 
 
-def safe_reach_odd(view: SubgameView, S: Region, R: Region) -> SafeReachResult:
-    """Vertices from which Odd forces reaching R without leaving S."""
-    return _public_reach(view, ODD, False, S, R)
-
-
 def safe_reach_even_fair(view: SubgameView, S: Region, R: Region) -> SafeReachResult:
     """Even's reach of R through S, also pulling live edges into the set."""
     return _public_reach(view, EVEN, True, S, R)
@@ -273,7 +271,7 @@ def _check_trap(game, lam: int, Z: Set[int], X: Set[int]):
 
 
 def _round(ctx: _Ctx, n_level: int, lam: int, arena: Set[int]):
-    """One peel-and-remove pass over arena at priority n_level for player lam.
+    """One peel-and-remove pass over arena at level n_level for player lam.
 
     Alternates the lam attractor to the top class with removals of the
     opponent's sub-regions until the opponent's share of the leftover is
@@ -283,7 +281,8 @@ def _round(ctx: _Ctx, n_level: int, lam: int, arena: Set[int]):
     """
     game = ctx.game
     opp = 1 - lam
-    C = {v for v in arena if game.priority[v] == n_level}
+    level = game.level
+    C = {v for v in arena if level[v] == n_level}
     deg, ldeg = _degrees(game, arena)
     X = set(arena)
     removed_total: Set[int] = set()
@@ -353,12 +352,13 @@ def _solve_odd(ctx: _Ctx, n_level: int, active: Set[int]) -> _Art:
     remainder, which yields Even's edge choices directly.
     """
     game = ctx.game
+    level = game.level
     w_odd: Set[int] = set()
     odd_choice: Dict[int, int] = {}
     even_choice: Dict[int, int] = {}
     U = set(active)
     while True:
-        if not any(game.priority[v] == n_level for v in U):
+        if not any(level[v] == n_level for v in U):
             sub = _solve(ctx, n_level - 1, U)
             w_odd |= sub.w_odd
             U = set(sub.w_even)
@@ -404,8 +404,9 @@ def _solve(ctx: _Ctx, n_level: int, active: Set[int]) -> _Art:
         ctx.deadline.poll()
     if not active:
         return _empty_art(ctx)
-    assert n_level >= 1, "nonempty arena with no priorities left"
-    if not any(ctx.game.priority[v] == n_level for v in active):
+    assert n_level >= 1, "nonempty arena with no levels left"
+    level = ctx.game.level
+    if not any(level[v] == n_level for v in active):
         return _solve(ctx, n_level - 1, active)
     if n_level % 2 == 0:
         return _solve_even(ctx, n_level, active)
@@ -421,7 +422,7 @@ def _top(
 ) -> RecursionArtifacts:
     game = view.game
     active = set(view.active)
-    n_top = max((game.priority[v] for v in active), default=0)
+    n_top = max((game.level[v] for v in active), default=0)
     ctx = _Ctx(game, use_live, extract, check, deadline)
     art = _solve(ctx, n_top, active)
     w_even = Region.of(game.n, art.w_even)

@@ -222,7 +222,7 @@ def test_criterion_6_invariants():
         ranks = extract_ranks(tr)
         win = set(w_odd)
         for v in win:
-            wset = level_witnesses(tr, ranks, v, g.priority[v])
+            wset = level_witnesses(tr, ranks, v, g.level[v])
             if g.owner[v] == EVEN:
                 ok = all(w in wset for w in g.succ[v])
             else:

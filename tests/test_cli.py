@@ -1,6 +1,6 @@
 import pytest
 
-from fairgame import bench, fixpoint
+from fairgame import bench, cli, fixpoint
 from fairgame.bench import CSV_HEADER
 from fairgame.cli import main
 from fairgame.pgfile import mutate_liveness, parse_game, random_game, write_game
@@ -222,15 +222,29 @@ def test_one_fixed_point_solve_per_operation(ex1_file, monkeypatch, capsys, algo
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("algo", ["of-zl", "of-fp"])
-def test_internal_error_is_one_line_exit_4(tmp_path, capsys, algo):
-    # one recursion level per priority value runs out of stack on priority 5000
-    path = tmp_path / "deep.gm"
+@pytest.mark.parametrize("algo", ["of-zl", "of-fp", "n-zl", "n-fp"])
+def test_priority_gap_game_solves(tmp_path, capsys, algo):
+    # both solver families step through levels, so priority 5000 costs two of them
+    path = tmp_path / "gap.gm"
     path.write_text("0 5000 0 0;\n1 3 1 1;\n")
-    assert main(["solve", str(path), "--algo", algo]) == 4
+    assert main(["solve", str(path), "--algo", algo, "--template"]) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "W_Even: 0\nW_Odd: 1\n"
+        "template 1;\nedge 1 1;\n"
+        "strategy 1;\nedge 0 0;\n"
+    )
+
+
+@pytest.mark.parametrize("algo", ["of-zl", "of-fp"])
+def test_internal_error_is_one_line_exit_4(ex1_file, capsys, monkeypatch, algo):
+    def broken(*args):
+        raise RuntimeError("first line\n  second line\nthird")
+
+    monkeypatch.setattr(cli, "_solve_instance", broken)
+    assert main(["solve", ex1_file, "--algo", algo]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("internal error: RecursionError")
-    assert err.count("\n") == 1
+    assert err == "internal error: RuntimeError: first line second line third\n"
 
 
 def test_bench_jobs_are_clamped(tmp_path, monkeypatch):

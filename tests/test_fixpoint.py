@@ -171,6 +171,18 @@ def level_witnesses(trace, ranks, v, chi):
     return set(trace.snapshots[(f"Y{m}", ctx + (t,))])
 
 
+def rank_ge(a, b, bound=None):
+    """Interleaved rank a >= b, compared on the first `bound` entries."""
+    x, y = a.interleaved(), b.interleaved()
+    return x[:bound] >= y[:bound]
+
+
+def rank_gt(a, b, bound=None):
+    """Interleaved rank a > b, compared on the first `bound` entries."""
+    x, y = a.interleaved(), b.interleaved()
+    return x[:bound] > y[:bound]
+
+
 def test_rank_inequalities_on_ex1(ex1, ex1_view):
     # on this game the plain componentwise comparison holds as well
     _, tr = solve_odd_fp(ex1_view, ranks=True)
@@ -181,7 +193,7 @@ def test_rank_inequalities_on_ex1(ex1, ex1_view):
         strict = ex1.priority[v] % 2 == 0
         inside = [w for w in ex1.succ[v] if w in win]
         picks = [
-            ranks[v].gt(ranks[w], bound) if strict else ranks[v].ge(ranks[w], bound)
+            rank_gt(ranks[v], ranks[w], bound) if strict else rank_ge(ranks[v], ranks[w], bound)
             for w in inside
         ]
         assert all(picks) if ex1.owner[v] == EVEN else any(picks)
@@ -198,12 +210,12 @@ def test_per_level_witnesses_on_traced_solves():
         ranks = extract_ranks(tr)
         win = set(w_odd)
         for v in win:
-            wset = level_witnesses(tr, ranks, v, g.priority[v])
+            wset = level_witnesses(tr, ranks, v, g.level[v])
             if g.owner[v] == EVEN:
                 ok = all(w in wset for w in g.succ[v])
             else:
                 ok = any(w in wset for w in g.succ[v] if w in win)
-            assert ok, (v, g.priority[v], ranks[v])
+            assert ok, (v, g.level[v], ranks[v])
             checked_vertices += 1
         checked_games += 1
     assert checked_games >= 200
@@ -226,7 +238,7 @@ def test_plain_rank_comparison_is_weaker_than_witnesses():
     ranks = extract_ranks(tr)
     assert ranks[4].interleaved() == (1, 0, 1, 0)
     bound = tr.l + 1 - g.priority[4]
-    assert not any(ranks[4].ge(ranks[w], bound) for w in g.succ[4])
+    assert not any(rank_ge(ranks[4], ranks[w], bound) for w in g.succ[4])
     for v in range(8):
         wset = level_witnesses(tr, ranks, v, g.priority[v])
         picks = [w in wset for w in g.succ[v]]

@@ -4,14 +4,19 @@ from fairgame.game import EVEN, ODD, Region, SubgameView
 from fairgame.fixpoint import solve_even_fp, solve_odd_fp
 from fairgame.templates import validate_even_strategy, validate_odd_template
 from fairgame.zielonka import (
+    _public_reach,
     safe_reach_even_fair,
     safe_reach_even_full,
-    safe_reach_odd,
     solve_zielonka_fair,
     solve_zielonka_normal,
 )
 
 from conftest import build_game, make_g3, small_games
+
+
+def safe_reach_odd(view, S, R):
+    """Vertices from which Odd forces reaching R without leaving S."""
+    return _public_reach(view, ODD, False, S, R)
 
 
 # reference attractor straight off the layered definition
