@@ -4,7 +4,10 @@ Games are dense-id parity games where some edges out of Odd vertices are
 marked live: Odd's plays must take every live edge infinitely often when its
 source recurs. The package bundles two fixed-point solvers, a recursive
 attractor solver, strategy template extraction, exhaustive certification,
-the file format, mutators and a benchmark harness.
+the file format, mutators and a benchmark harness. `solve_instance` maps a
+solver tag (`of-zl`, `of-fp`, `n-zl`, `n-fp`) to solver calls for the
+command line and the harness alike; the command line itself lives in
+`fairgame.cli` and is not imported here.
 """
 
 from .game import (
@@ -69,9 +72,8 @@ from .certify import (
     certify_odd_template,
     certify_partition,
 )
-from .bench import BenchRecord, run_bench, run_instance, write_csv
+from .bench import BenchRecord, run_bench, run_instance, solve_instance, write_csv
 from .report import make_report, write_report
-from .cli import cmd_bench, cmd_check, cmd_mutate, cmd_report, cmd_solve, main
 
 __version__ = "0.1.0"
 
@@ -125,15 +127,10 @@ __all__ = [
     "certify_even_strategy",
     "certify_partition",
     "BenchRecord",
+    "solve_instance",
     "run_instance",
     "run_bench",
     "write_csv",
     "make_report",
     "write_report",
-    "cmd_solve",
-    "cmd_mutate",
-    "cmd_bench",
-    "cmd_report",
-    "cmd_check",
-    "main",
 ]

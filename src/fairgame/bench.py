@@ -1,8 +1,15 @@
-"""Benchmark harness: run solvers over a set of instance files.
+"""Solver tags, the one map from a tag to solver calls, and the benchmark harness.
 
-Each (instance, solver) pair becomes one CSV row. Solve time covers the
-solver call only, not parsing. Region sizes are reported for completed runs,
-empty fields otherwise.
+`solve_instance` is the only place that turns a tag into solver calls; the
+CLI's `solve` and `check` and the harness's `run_instance` all go through it.
+It solves the game it is given: the classical `n-*` solvers ignore live
+edges, and callers that also want artifacts free of them strip the edges
+first.
+
+The harness runs solvers over a set of instance files. Each (instance,
+solver) pair becomes one CSV row. Solve time covers the `solve_instance`
+call only, not parsing. Region sizes are reported for completed runs, empty
+fields otherwise.
 """
 
 from __future__ import annotations
@@ -15,11 +22,13 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .game import Deadline, SolverTimeout, SubgameView
-from .fixpoint import solve_odd_fp
+from .fixpoint import extract_ranks, solve_odd_fp
 from .pgfile import parse_game
+from .templates import build_rank_template, extract_even_strategy
 from .zielonka import solve_zielonka_fair, solve_zielonka_normal
 
-SOLVER_TAGS = ("of-zl", "of-fp", "n-zl", "n-fp")
+FAIR_TAGS = ("of-zl", "of-fp")  # the solvers that assume fairness on live edges
+SOLVER_TAGS = FAIR_TAGS + ("n-zl", "n-fp")
 CSV_HEADER = "instance,solver,vertices,edges,priorities,live_edges,time_ms,status,win_even,win_odd"
 
 
@@ -45,6 +54,33 @@ class BenchRecord:
         )
 
 
+def solve_instance(game, algo, deadline, want_artifacts):
+    """Returns (w_even, w_odd, template, strategy, odd_trace) of solver tag algo.
+
+    odd_trace is the fixed-point trace, with ranks, under `*-fp` and None
+    under `*-zl`; template and strategy are None unless want_artifacts.
+    """
+    if algo not in SOLVER_TAGS:
+        raise ValueError(f"unknown solver tag {algo!r}")
+    view = SubgameView.full(game)
+    use_live = algo in FAIR_TAGS
+    template = strategy = trace = None
+    if algo.endswith("-zl"):
+        solver = solve_zielonka_fair if use_live else solve_zielonka_normal
+        art = solver(view, extract=want_artifacts, deadline=deadline)
+        w_even, w_odd = art.win_even, art.win_odd
+        template, strategy = art.odd_template, art.even_strategy
+    else:
+        w_odd, trace = solve_odd_fp(view, use_live=use_live, deadline=deadline)
+        w_even = w_odd.complement()
+        if want_artifacts:
+            template = build_rank_template(view, w_odd, extract_ranks(trace))
+            strategy = extract_even_strategy(
+                view, trace=trace, use_live=use_live, deadline=deadline
+            )
+    return w_even, w_odd, template, strategy, trace
+
+
 def run_instance(path: str, solver: str, timeout: Optional[float]) -> BenchRecord:
     if solver not in SOLVER_TAGS:
         raise ValueError(f"unknown solver tag {solver!r}")
@@ -57,31 +93,17 @@ def run_instance(path: str, solver: str, timeout: Optional[float]) -> BenchRecor
     edges = sum(len(ws) for ws in game.succ)
     priorities = len(set(game.priority))
     live_edges = len(game.live)
-    view = SubgameView.full(game)
     deadline = Deadline(timeout) if timeout is not None else None
     status = "ok"
     win_even = win_odd = None
     t0 = time.perf_counter()
     try:
-        if solver == "of-zl":
-            art = solve_zielonka_fair(view, deadline=deadline)
-            win_even, win_odd = len(art.win_even), len(art.win_odd)
-        elif solver == "n-zl":
-            art = solve_zielonka_normal(view, deadline=deadline)
-            win_even, win_odd = len(art.win_even), len(art.win_odd)
-        else:
-            use_live = solver == "of-fp"
-            w_odd, _ = solve_odd_fp(
-                view, use_live=use_live, ranks=False, deadline=deadline
-            )
-            win_odd = len(w_odd)
-            win_even = game.n - win_odd
+        w_even, w_odd = solve_instance(game, solver, deadline, False)[:2]
+        win_even, win_odd = len(w_even), len(w_odd)
     except SolverTimeout:
         status = "timeout"
-        win_even = win_odd = None
     except Exception:
         status = "error"
-        win_even = win_odd = None
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return BenchRecord(
         name, solver, vertices, edges, priorities, live_edges,

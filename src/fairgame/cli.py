@@ -1,5 +1,12 @@
 """Command line surface.
 
+`solve` and `check` run one path: load the file; under the classical `n-*`
+tags, which ignore live edges, drop them, so that templates are built and
+certified on the game those solvers play; solve through
+`bench.solve_instance`; certify. `check` is `solve --certify` without the
+printed regions. A given `--timeout` is always a deadline, `--timeout 0`
+included.
+
 Exit codes: 0 success, 1 input or usage error, 2 certification failure or
 refusal, 3 solver timeout, 4 internal error.
 """
@@ -12,42 +19,24 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import SOLVER_TAGS, run_bench, write_csv
+from .bench import FAIR_TAGS, SOLVER_TAGS, run_bench, write_csv
+from .bench import solve_instance as _solve_instance
 from .certify import DEFAULT_MAX_EDGES, certify_partition
-from .fixpoint import extract_ranks, solve_odd_fp
-from .game import Deadline, SolverTimeout, SubgameView
+from .fixpoint import extract_ranks
+from .game import Deadline, SolverTimeout
 from .pgfile import ParseError, mutate_liveness, mutate_priorities, parse_game, write_game
 from .report import ReportError, write_report
-from .templates import (
-    build_rank_template,
-    extract_even_strategy,
-    format_strategy,
-    format_template,
-)
-from .zielonka import solve_zielonka_fair, solve_zielonka_normal
-
-
-def _default_seed() -> int:
-    env = os.environ.get("FAIRGAME_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 1
+from .templates import format_strategy, format_template
 
 
 def _load_game(path: str):
     try:
-        text = Path(path).read_text()
+        return parse_game(Path(path).read_text())
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    try:
-        return parse_game(text)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"parse error in {path}: {exc}", file=sys.stderr)
-        return None
+    return None
 
 
 def _region_line(game, name, region) -> str:
@@ -55,55 +44,30 @@ def _region_line(game, name, region) -> str:
     return f"{name}:" + ("" if not labels else " " + " ".join(labels))
 
 
-def _solve_instance(game, algo, deadline, want_artifacts):
-    """Returns (w_even, w_odd, template, strategy, odd_trace)."""
-    view = SubgameView.full(game)
-    use_live = algo in ("of-zl", "of-fp")
-    template = strategy = trace = None
-    if algo in ("of-zl", "n-zl"):
-        solver = solve_zielonka_fair if algo == "of-zl" else solve_zielonka_normal
-        art = solver(view, extract=want_artifacts, deadline=deadline)
-        w_even, w_odd = art.win_even, art.win_odd
-        template, strategy = art.odd_template, art.even_strategy
-    else:
-        w_odd, trace = solve_odd_fp(view, use_live=use_live, deadline=deadline)
-        w_even = w_odd.complement()
-        if want_artifacts:
-            template = build_rank_template(view, w_odd, extract_ranks(trace))
-            strategy = extract_even_strategy(
-                view, trace=trace, use_live=use_live, deadline=deadline
-            )
-    return w_even, w_odd, template, strategy, trace
-
-
 def _played_game(game, algo):
     # the classical readings ignore live edges: they are solved and certified without them
-    return game if algo in ("of-zl", "of-fp") else mutate_liveness(game, 0, 0)
+    return game if algo in FAIR_TAGS else mutate_liveness(game, 0, 0)
 
 
 def cmd_solve(args) -> int:
     game = _load_game(args.file)
     if game is None:
         return 1
-    if args.algo not in SOLVER_TAGS:
-        print(f"unknown algorithm {args.algo}", file=sys.stderr)
-        return 1
     game = _played_game(game, args.algo)
-    deadline = Deadline(args.timeout) if args.timeout else None
-    use_live = args.algo in ("of-zl", "of-fp")
-    want_artifacts = args.template or args.certify
+    deadline = Deadline(args.timeout) if args.timeout is not None else None
     try:
         w_even, w_odd, template, strategy, trace = _solve_instance(
-            game, args.algo, deadline, want_artifacts
+            game, args.algo, deadline, args.template or args.certify
         )
-        if args.ranks and (trace is None or trace.components is None):
-            view = SubgameView.full(game)
-            _, trace = solve_odd_fp(view, use_live=use_live, deadline=deadline)
+        if args.ranks and trace is None:
+            # ranks come from the fixed-point solver of the same reading
+            trace = _solve_instance(game, args.algo.replace("-zl", "-fp"), deadline, False)[4]
     except SolverTimeout:
         print("timeout", file=sys.stderr)
         return 3
-    print(_region_line(game, "W_Even", w_even))
-    print(_region_line(game, "W_Odd", w_odd))
+    if args.print_regions:
+        print(_region_line(game, "W_Even", w_even))
+        print(_region_line(game, "W_Odd", w_odd))
     if args.ranks:
         ranks = extract_ranks(trace)
         for v in sorted(trace.region, key=game.label):
@@ -124,7 +88,14 @@ def cmd_mutate(args) -> int:
     game = _load_game(args.file)
     if game is None:
         return 1
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("FAIRGAME_SEED", "1")
+        try:
+            seed = int(env)
+        except ValueError:
+            print(f"FAIRGAME_SEED is not an integer: {env!r}", file=sys.stderr)
+            return 1
     try:
         if args.priorities is not None:
             game = mutate_priorities(game, args.priorities, seed)
@@ -132,7 +103,12 @@ def cmd_mutate(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    Path(args.output).write_text(write_game(game))
+    text = write_game(game)
+    try:
+        Path(args.output).write_text(text)
+    except OSError as exc:
+        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -153,7 +129,11 @@ def cmd_bench(args) -> int:
         print(f"unknown algorithms: {', '.join(bad) or '(none given)'}", file=sys.stderr)
         return 1
     records = run_bench(paths, algos, args.timeout, jobs=args.jobs)
-    write_csv(records, args.out)
+    try:
+        write_csv(records, args.out)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 
@@ -167,24 +147,6 @@ def cmd_report(args) -> int:
     sys.stdout.write(summary)
     print(f"wrote {args.out}")
     return 0
-
-
-def cmd_check(args) -> int:
-    game = _load_game(args.file)
-    if game is None:
-        return 1
-    game = _played_game(game, args.algo)
-    deadline = Deadline(args.timeout) if args.timeout else None
-    try:
-        w_even, w_odd, template, strategy, _ = _solve_instance(
-            game, args.algo, deadline, True
-        )
-    except SolverTimeout:
-        print("timeout", file=sys.stderr)
-        return 3
-    res = certify_partition(game, w_even, w_odd, strategy, template, max_edges=args.max_edges)
-    print(res.detail)
-    return 0 if res.certified else 2
 
 
 @functools.cache  # building it costs more than solving a small game
@@ -203,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", action="store_true", help="print per-vertex ranks")
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, print_regions=True)
 
     p = sub.add_parser("mutate", help="derive an instance with random live edges or priorities")
     p.add_argument("file")
@@ -234,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", default="of-fp", choices=SOLVER_TAGS)
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_solve, print_regions=False, certify=True, template=False, ranks=False)
 
     return parser
 

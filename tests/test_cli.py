@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fairgame
 from fairgame import bench, cli, fixpoint
-from fairgame.bench import CSV_HEADER
+from fairgame.bench import CSV_HEADER, SOLVER_TAGS, run_instance, solve_instance
 from fairgame.cli import main
 from fairgame.pgfile import mutate_liveness, parse_game, random_game, write_game
 
-from conftest import make_ex1
+from conftest import make_ex1, make_g3
 
 
 @pytest.fixture()
@@ -68,12 +74,28 @@ def test_solve_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_undecodable_input_is_exit_1(tmp_path, capsys, command):
+    bad = tmp_path / "bad.gm"
+    bad.write_bytes(b"\xff\xfe 1 0 0;\n")
+    assert main([command, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error in {bad}: ") and err.count("\n") == 1
+
+
 def test_solve_timeout_is_exit_3(tmp_path, capsys):
     g = mutate_liveness(random_game(400, 5, 11), 50, 11)
     path = tmp_path / "big.gm"
     path.write_text(write_game(g))
     assert main(["solve", str(path), "--algo", "of-fp", "--timeout", "1e-9"]) == 3
     assert "timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_timeout_zero_is_a_deadline(ex1_file, capsys, command):
+    for algo in SOLVER_TAGS:
+        assert main([command, ex1_file, "--algo", algo, "--timeout", "0"]) == 3
+        assert capsys.readouterr().err == "timeout\n"
 
 
 def test_check_command(ex1_file, capsys):
@@ -92,6 +114,21 @@ def test_mutate_determinism(ex1_file, tmp_path, monkeypatch, capsys):
     assert texts[0] == texts[1] == texts[2]
     parsed = parse_game(texts[0])
     assert parsed.live  # half of the four Odd vertices got live edges
+
+
+def test_mutate_bad_seed_env_is_exit_1(ex1_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "m.gm"
+    monkeypatch.setenv("FAIRGAME_SEED", "abc")
+    assert main(["mutate", ex1_file, "--liveness", "50", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "FAIRGAME_SEED is not an integer: 'abc'\n"
+    assert not out.exists()
+    assert main(["mutate", ex1_file, "--liveness", "50", "--seed", "7", "-o", str(out)]) == 0
+
+
+def test_mutate_unwritable_output_is_exit_1(ex1_file, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.gm")
+    assert main(["mutate", ex1_file, "--liveness", "50", "-o", out]) == 1
+    assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
 
 
 def test_mutate_liveness_zero_strips(ex1_file, tmp_path, capsys):
@@ -144,6 +181,53 @@ def test_bench_argument_errors(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["bench", str(empty), "--out", out]) == 1
+    # the one solve entry refuses unknown tags, wherever it is called from
+    with pytest.raises(ValueError, match="bogus"):
+        cli._solve_instance(make_ex1(), "bogus", None, False)
+    with pytest.raises(ValueError, match="bogus"):
+        run_instance(str(corpus / "ex1.gm"), "bogus", None)
+
+
+def test_bench_unwritable_output_is_exit_1(tmp_path, capsys):
+    corpus = make_corpus(tmp_path)
+    out = str(tmp_path / "missing" / "o.csv")
+    assert main(["bench", str(corpus), "--algos", "of-zl", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+
+
+def entry_games():
+    yield "ex1", make_ex1()
+    yield "g3", make_g3()
+    for seed in (3, 8, 21):
+        game = mutate_liveness(random_game(14, 4, seed), 60, seed)
+        assert game.live
+        yield f"rand{seed}", game
+
+
+@pytest.mark.parametrize("algo", SOLVER_TAGS)
+def test_bench_rows_match_the_solve_entry(tmp_path, algo):
+    for name, game in entry_games():
+        path = tmp_path / f"{name}.gm"
+        path.write_text(write_game(game))
+        w_even, w_odd, template, strategy, trace = solve_instance(game, algo, None, False)
+        assert template is strategy is None
+        assert (trace is None) == algo.endswith("-zl")
+        record = run_instance(str(path), algo, 30)
+        assert record.status == "ok"
+        assert (record.win_even, record.win_odd) == (len(w_even), len(w_odd)), name
+        full = solve_instance(game, algo, None, True)
+        assert full[:2] == (w_even, w_odd), name
+        assert full[2] is not None and full[3] is not None
+
+
+def test_module_entry_leaves_stderr_empty():
+    env = dict(os.environ, PYTHONPATH=str(Path(fairgame.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairgame.cli", "--help"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: fairgame")
+    assert proc.stderr == ""
 
 
 def test_report_svg(tmp_path, capsys):
