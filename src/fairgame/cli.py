@@ -39,6 +39,11 @@ def _load_game(path: str):
     return None
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"cannot write {path}: {exc}", file=sys.stderr)
+    return 1
+
+
 def _region_line(game, name, region) -> str:
     labels = sorted(game.label(v) for v in region)
     return f"{name}:" + ("" if not labels else " " + " ".join(labels))
@@ -107,8 +112,7 @@ def cmd_mutate(args) -> int:
     try:
         Path(args.output).write_text(text)
     except OSError as exc:
-        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-        return 1
+        return _cannot_write(args.output, exc)
     return 0
 
 
@@ -128,12 +132,15 @@ def cmd_bench(args) -> int:
     if bad or not algos:
         print(f"unknown algorithms: {', '.join(bad) or '(none given)'}", file=sys.stderr)
         return 1
+    try:
+        Path(args.out).write_text("")  # an unwritable path is reported before any solve
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     records = run_bench(paths, algos, args.timeout, jobs=args.jobs)
     try:
         write_csv(records, args.out)
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        return _cannot_write(args.out, exc)
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 

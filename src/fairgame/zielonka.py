@@ -1,23 +1,23 @@
 """Recursive attractor-based solver, with and without the fairness assumption.
 
-The recursion peels the top priority class, solves the rest, and removes
-opponent attractors until stable. It steps through the game's levels
-(`OddFairGame.level`, the dense relabelling of its priorities with the same
-order and parity), so its depth grows with the number of distinct
-priorities, not with their values. Under the fairness assumption Even's
-attractor additionally pulls in Odd vertices with a live edge into the
-attracted set, which overapproximates Even's classical reach. An Odd-level
-call therefore runs in rounds: the surviving core is grown by one plain Odd
-attractor and claimed for Odd, and if any live pull fired during the round
-the remainder is re-solved the same way until the core comes back empty.
-The plain attractor alone can miss remainder vertices whose only escape is
-an odd cycle inside the overapproximated piece, which is why the rounds are
-needed. When no pull fired the removed pieces are exact attractors, so the
-remainder is already Even's region and the rounds stop early. Either way the
-last round's pieces tile Even's region exactly.
-
-Attractor degrees are relative to the current arena and are updated as
-pieces get removed, so every intermediate arena stays dead-end free.
+One routine serves both parities. It peels the top class present in its
+arena, solves the rest, and removes opponent attractors until stable. It
+reads the game's levels (`OddFairGame.level`, the dense relabelling of its
+priorities with the same order and parity) and recurses only into the
+classes present in each sub-arena, so its depth grows with the number of
+nested present classes, not with the priority values or absent levels.
+Under the fairness assumption Even's attractor additionally pulls in Odd
+vertices with a live edge into the attracted set, which overapproximates
+Even's classical reach. An Odd level therefore runs in rounds: the surviving
+core is grown by one plain Odd attractor and claimed for Odd, and if any
+live pull fired during the round the remainder is re-solved the same way
+until the core comes back empty. The plain attractor alone can miss
+remainder vertices whose only escape is an odd cycle inside the
+overapproximated piece, which is why the rounds are needed. When no pull
+fired the removed pieces are exact attractors, so the remainder is already
+the opponent's region and the rounds stop early; an Even level, whose
+removed pieces are Odd attractors, always stops after one round. Either way
+the last round's pieces tile the opponent's region exactly.
 
 With extract=True the recursion additionally assembles one chosen edge per
 winning vertex of each player, combined at top level into an Odd template
@@ -27,7 +27,7 @@ winning vertex of each player, combined at top level into an Odd template
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .game import EVEN, ODD, Deadline, OddFairGame, Region, SubgameView
 from .templates import EvenStrategy, OddTemplate, close_live_cycles
@@ -67,35 +67,13 @@ class _Ctx:
 
 
 class _Art:
-    __slots__ = ("w_even", "w_odd", "odd_choice", "even_choice")
+    """A sub-solution: each player's region and, in extract mode, chosen edges."""
 
-    def __init__(self, w_even, w_odd, odd_choice=None, even_choice=None):
-        self.w_even = w_even
-        self.w_odd = w_odd
-        self.odd_choice = odd_choice
-        self.even_choice = even_choice
+    __slots__ = ("win", "choice")
 
-
-def _degrees(game: OddFairGame, arena: Set[int]):
-    deg = {}
-    ldeg = {}
-    for v in arena:
-        deg[v] = sum(1 for w in game.succ[v] if w in arena)
-        ldeg[v] = sum(1 for w in game.live_succ[v] if w in arena)
-    return deg, ldeg
-
-
-def _drop_from_arena(game: OddFairGame, removed: Iterable[int], arena: Set[int], deg, ldeg):
-    for w in removed:
-        for v in game.pred[w]:
-            if v in arena:
-                deg[v] -= 1
-        for v in game.live_pred[w]:
-            if v in arena:
-                ldeg[v] -= 1
-    for w in removed:
-        deg.pop(w, None)
-        ldeg.pop(w, None)
+    def __init__(self, extract: bool):
+        self.win = [set(), set()]
+        self.choice = ({}, {}) if extract else None
 
 
 def _safe_reach(
@@ -104,20 +82,23 @@ def _safe_reach(
     fair: bool,
     S: Set[int],
     R: Set[int],
-    deg: Dict[int, int],
-    ldeg: Dict[int, int],
+    arena: Optional[Set[int]] = None,
 ):
     """Layered attractor for player toward R with S as the allowed corridor.
 
-    deg/ldeg give out-degrees in the quantification arena. fair adds the
-    live-edge pull for Even. Returns (reach set, rank dict, pulled flag);
-    pulled is True when some Odd vertex entered through the live pull alone,
-    i.e. the result may be strictly larger than the classical attractor.
+    Opponent vertices are forced once every successor in arena (default S)
+    is attracted. fair adds the live-edge pull for Even. Returns (reach set,
+    rank dict, pulled flag); pulled is True when some Odd vertex entered
+    through the live pull alone, i.e. the result may be strictly larger than
+    the classical attractor.
     """
+    if arena is None:
+        arena = S
     reach = set(R)
     rank = {v: 1 for v in R}
     cnt: Dict[int, int] = {}
     lcnt: Dict[int, int] = {}
+    deg: Dict[int, int] = {}
     frontier = list(R)
     level = 1
     pulled = False
@@ -140,6 +121,8 @@ def _safe_reach(
             if own == player:
                 ok = cnt.get(v, 0) >= 1
             else:
+                if v not in deg:
+                    deg[v] = sum(1 for w in game.succ[v] if w in arena)
                 ok = cnt.get(v, 0) == deg[v]
                 if not ok and fair and own == ODD and lcnt.get(v, 0) >= 1:
                     ok = True
@@ -213,9 +196,8 @@ def _public_reach(view: SubgameView, player: int, fair: bool, S: Region, R: Regi
     if not R.issubset(S) or not S.issubset(view.active):
         raise ValueError("expected R subset of S subset of the active set")
     arena = set(view.active)
-    deg, ldeg = _degrees(view.game, arena)
     sset, rset = set(S), set(R)
-    reach, rank, _ = _safe_reach(view.game, player, fair, sset, rset, deg, ldeg)
+    reach, rank, _ = _safe_reach(view.game, player, fair, sset, rset, arena)
     edges = _partial_template(view.game, player, fair, arena, reach, rank, rset)
     return SafeReachResult(Region.of(view.n, reach), rank, edges)
 
@@ -246,12 +228,6 @@ def safe_reach_even_full(view: SubgameView, S: Region, R: Region) -> Region:
         y = x
 
 
-def _empty_art(ctx: _Ctx) -> _Art:
-    if ctx.extract:
-        return _Art(set(), set(), {}, {})
-    return _Art(set(), set())
-
-
 def _check_no_live_crossing(game, inside: Set[int], removed: Set[int]):
     for v in inside:
         if game.owner[v] != ODD:
@@ -270,8 +246,8 @@ def _check_trap(game, lam: int, Z: Set[int], X: Set[int]):
             assert any(w in Z for w in inside_x), f"vertex {v} is forced out of the trap"
 
 
-def _round(ctx: _Ctx, n_level: int, lam: int, arena: Set[int]):
-    """One peel-and-remove pass over arena at level n_level for player lam.
+def _round(ctx: _Ctx, top: int, arena: Set[int]):
+    """One peel-and-remove pass over arena for lam, the parity of its top class.
 
     Alternates the lam attractor to the top class with removals of the
     opponent's sub-regions until the opponent's share of the leftover is
@@ -280,10 +256,10 @@ def _round(ctx: _Ctx, n_level: int, lam: int, arena: Set[int]):
     (extract mode), and whether any opponent removal used a live pull.
     """
     game = ctx.game
+    lam = top % 2
     opp = 1 - lam
     level = game.level
-    C = {v for v in arena if level[v] == n_level}
-    deg, ldeg = _degrees(game, arena)
+    C = {v for v in arena if level[v] == top}
     X = set(arena)
     removed_total: Set[int] = set()
     pieces = []
@@ -293,124 +269,94 @@ def _round(ctx: _Ctx, n_level: int, lam: int, arena: Set[int]):
             ctx.deadline.poll()
         N = C & X
         fair_n = lam == EVEN and ctx.use_live
-        reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N, deg, ldeg)
+        reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N)
         Z = X - reach_n
         if ctx.check:
             _check_trap(game, lam, Z, X)
             if fair_n:
                 _check_no_live_crossing(game, Z, reach_n)
-        sub = _solve(ctx, n_level - 1, Z)
-        z_opp = sub.w_odd if lam == EVEN else sub.w_even
+        sub = _solve(ctx, Z)
+        z_opp = sub.win[opp]
         if not z_opp:
             break
         fair_o = opp == EVEN and ctx.use_live
-        reach_o, rank_o, p = _safe_reach(game, opp, fair_o, X, z_opp, deg, ldeg)
+        reach_o, rank_o, p = _safe_reach(game, opp, fair_o, X, z_opp)
         pulled = pulled or p
         if ctx.check:
-            deg_a, ldeg_a = _degrees(game, arena)
-            whole, _, _ = _safe_reach(
-                game, opp, fair_o, set(arena), removed_total | z_opp, deg_a, ldeg_a
-            )
+            whole, _, _ = _safe_reach(game, opp, fair_o, arena, removed_total | z_opp)
             assert whole == removed_total | reach_o, "staged removals diverge from the joint attractor"
         if ctx.extract:
             pieces.append((sub, reach_o, rank_o, set(z_opp)))
         X -= reach_o
         removed_total |= reach_o
-        _drop_from_arena(game, reach_o, X, deg, ldeg)
         if ctx.check and fair_o:
             _check_no_live_crossing(game, X, removed_total)
     return X, sub, reach_n, rank_n, N, pieces, pulled
 
 
-def _solve_even(ctx: _Ctx, n_level: int, active: Set[int]) -> _Art:
-    game = ctx.game
-    X, sub, reach_n, rank_n, N, pieces, _ = _round(ctx, n_level, EVEN, active)
-    w_even = set(X)
-    w_odd = active - X
-    if not ctx.extract:
-        return _Art(w_even, w_odd)
-    even_choice = dict(sub.even_choice)
-    even_choice.update(_reach_choices(game, EVEN, reach_n, rank_n, N))
-    for v in N:
-        if game.owner[v] == EVEN:
-            even_choice[v] = min(w for w in game.succ[v] if w in X)
-    odd_choice: Dict[int, int] = {}
-    for sub_i, reach_i, rank_i, z_i in pieces:
-        odd_choice.update(sub_i.odd_choice)
-        odd_choice.update(_reach_choices(game, ODD, reach_i, rank_i, z_i))
-    return _Art(w_even, w_odd, odd_choice, even_choice)
+def _solve(ctx: _Ctx, active: Set[int]) -> _Art:
+    """Solve active by its top present class; lam is that class's parity.
 
-
-def _solve_odd(ctx: _Ctx, n_level: int, active: Set[int]) -> _Art:
-    """Odd-level call: claim cores round by round until the remainder holds.
-
-    Each round runs the peel loop over the remainder U. A nonempty core X is
-    grown to its plain Odd attractor T inside U and claimed; without live
-    pulls T equals X and the pieces removed by the round are exact, so the
-    rest of U is Even's. After a pull the pieces may be too large and the
-    shrunk remainder is re-solved. The last round's pieces tile the final
-    remainder, which yields Even's edge choices directly.
+    Claims cores for lam round by round until the remainder holds. Each round
+    runs the peel loop over the remainder U. A nonempty core X is grown to
+    its plain lam attractor T inside U and claimed; without live pulls T
+    equals X and the pieces removed by the round are exact, so the rest of U
+    is the opponent's. After a pull the pieces may be too large and the
+    shrunk remainder is re-solved. Only Even's attractor pulls, and it
+    removes pieces only at Odd levels, so an Even level stops after one
+    round. The last round's pieces tile the final remainder, which yields
+    the opponent's edge choices directly.
     """
+    if ctx.deadline is not None:
+        ctx.deadline.poll()
     game = ctx.game
     level = game.level
-    w_odd: Set[int] = set()
-    odd_choice: Dict[int, int] = {}
-    even_choice: Dict[int, int] = {}
+    art = _Art(ctx.extract)
+    if not active:
+        return art
+    top = max(level[v] for v in active)
+    lam = top % 2
+    opp = 1 - lam
+    win, choice = art.win, art.choice
     U = set(active)
     while True:
-        if not any(level[v] == n_level for v in U):
-            sub = _solve(ctx, n_level - 1, U)
-            w_odd |= sub.w_odd
-            U = set(sub.w_even)
+        if not any(level[v] == top for v in U):
+            sub = _solve(ctx, U)
+            win[lam] |= sub.win[lam]
+            U = set(sub.win[opp])
             if ctx.extract:
-                odd_choice.update(sub.odd_choice)
-                even_choice.update(sub.even_choice)
+                choice[lam].update(sub.choice[lam])
+                choice[opp].update(sub.choice[opp])
             break
-        X, sub, reach_n, rank_n, N, pieces, pulled = _round(ctx, n_level, ODD, U)
+        X, sub, reach_n, rank_n, N, pieces, pulled = _round(ctx, top, U)
         if X:
             if ctx.extract:
-                odd_choice.update(sub.odd_choice)
-                odd_choice.update(_reach_choices(game, ODD, reach_n, rank_n, N))
+                choice[lam].update(sub.choice[lam])
+                choice[lam].update(_reach_choices(game, lam, reach_n, rank_n, N))
                 for v in N:
-                    if game.owner[v] == ODD:
-                        odd_choice[v] = min(w for w in game.succ[v] if w in X)
+                    if game.owner[v] == lam:
+                        choice[lam][v] = min(w for w in game.succ[v] if w in X)
             if pulled or ctx.check:
-                deg_u, ldeg_u = _degrees(game, U)
-                T, rank_t, _ = _safe_reach(game, ODD, False, set(U), set(X), deg_u, ldeg_u)
+                T, rank_t, _ = _safe_reach(game, lam, False, U, X)
                 if ctx.check and not pulled:
                     assert T == X, "pull-free core grew under the plain attractor"
             else:
                 T, rank_t = set(X), {v: 1 for v in X}
             if ctx.extract:
-                odd_choice.update(_reach_choices(game, ODD, T, rank_t, set(X)))
-            w_odd |= T
+                choice[lam].update(_reach_choices(game, lam, T, rank_t, X))
+            win[lam] |= T
             U -= T
             if pulled and U:
                 continue
         if ctx.extract and U:
             for sub_i, reach_i, rank_i, z_i in pieces:
-                even_choice.update(sub_i.even_choice)
-                even_choice.update(_reach_choices(game, EVEN, reach_i, rank_i, z_i))
+                choice[opp].update(sub_i.choice[opp])
+                choice[opp].update(_reach_choices(game, opp, reach_i, rank_i, z_i))
         break
     if ctx.check:
-        _check_trap(game, ODD, U, set(active))
-    if not ctx.extract:
-        return _Art(U, w_odd)
-    return _Art(U, w_odd, odd_choice, even_choice)
-
-
-def _solve(ctx: _Ctx, n_level: int, active: Set[int]) -> _Art:
-    if ctx.deadline is not None:
-        ctx.deadline.poll()
-    if not active:
-        return _empty_art(ctx)
-    assert n_level >= 1, "nonempty arena with no levels left"
-    level = ctx.game.level
-    if not any(level[v] == n_level for v in active):
-        return _solve(ctx, n_level - 1, active)
-    if n_level % 2 == 0:
-        return _solve_even(ctx, n_level, active)
-    return _solve_odd(ctx, n_level, active)
+        _check_trap(game, lam, U, active)
+    win[opp] = U
+    return art
 
 
 def _top(
@@ -421,22 +367,20 @@ def _top(
     deadline: Optional[Deadline],
 ) -> RecursionArtifacts:
     game = view.game
-    active = set(view.active)
-    n_top = max((game.level[v] for v in active), default=0)
     ctx = _Ctx(game, use_live, extract, check, deadline)
-    art = _solve(ctx, n_top, active)
-    w_even = Region.of(game.n, art.w_even)
-    w_odd = Region.of(game.n, art.w_odd)
+    art = _solve(ctx, set(view.active))
+    w_even = Region.of(game.n, art.win[EVEN])
+    w_odd = Region.of(game.n, art.win[ODD])
     out = RecursionArtifacts(win_even=w_even, win_odd=w_odd)
     if extract:
-        base = set(art.odd_choice.items())
-        for v in art.w_odd:
+        base = set(art.choice[ODD].items())
+        for v in art.win[ODD]:
             if game.owner[v] == EVEN:
-                base.update((v, w) for w in game.succ[v] if w in art.w_odd)
+                base.update((v, w) for w in game.succ[v] if w in art.win[ODD])
         out.odd_template = OddTemplate(
             game.n, w_odd, close_live_cycles(game, w_odd, base)
         )
-        out.even_strategy = EvenStrategy(game.n, w_even, dict(art.even_choice))
+        out.even_strategy = EvenStrategy(game.n, w_even, dict(art.choice[EVEN]))
     return out
 
 

@@ -188,9 +188,14 @@ def test_bench_argument_errors(tmp_path, capsys):
         run_instance(str(corpus / "ex1.gm"), "bogus", None)
 
 
-def test_bench_unwritable_output_is_exit_1(tmp_path, capsys):
+def test_bench_unwritable_output_is_exit_1(tmp_path, capsys, monkeypatch):
     corpus = make_corpus(tmp_path)
     out = str(tmp_path / "missing" / "o.csv")
+
+    def no_solves(*args, **kwargs):
+        pytest.fail("bench solved instances before finding its output unwritable")
+
+    monkeypatch.setattr(cli, "run_bench", no_solves)
     assert main(["bench", str(corpus), "--algos", "of-zl", "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
 

@@ -1,7 +1,11 @@
 import pytest
 
+from fairgame import cli
+from fairgame.bench import solve_instance
+from fairgame.certify import certify_partition
 from fairgame.game import EVEN, ODD, Region, SubgameView
 from fairgame.fixpoint import solve_even_fp, solve_odd_fp
+from fairgame.pgfile import mutate_liveness, random_game, write_game
 from fairgame.templates import validate_even_strategy, validate_odd_template
 from fairgame.zielonka import (
     _public_reach,
@@ -146,11 +150,32 @@ def test_pinned_live_crossing_regression():
 
 
 def test_check_mode_is_silent_on_smalls():
+    # check=True also asserts, at every level, that the opponent's share is a trap
     for _seed, _alpha, g in small_games(100, start_seed=4700):
         view = SubgameView.full(g)
-        a = solve_zielonka_fair(view, check=True)
-        b = solve_zielonka_fair(view)
-        assert a.win_even == b.win_even
+        for solver in (solve_zielonka_fair, solve_zielonka_normal):
+            a = solver(view, extract=True, check=True)
+            b = solver(view, extract=True)
+            assert a.win_even == b.win_even
+            assert a.win_odd == b.win_odd
+            assert a.odd_template.edges == b.odd_template.edges
+            assert a.even_strategy.choice == b.even_strategy.choice
+
+
+@pytest.mark.parametrize("seed,alpha", [(2, 0), (5, 0), (1, 50)])
+def test_many_priority_classes_solve_without_deep_recursion(tmp_path, capsys, seed, alpha):
+    # thousands of distinct priorities, of which only a few classes nest
+    game = mutate_liveness(random_game(3000, 3000, seed), alpha, seed)
+    played = {"of-zl": game, "n-zl": mutate_liveness(game, 0, 0)}
+    for algo, g in played.items():
+        w_even, w_odd, template, strategy, _ = solve_instance(g, algo, None, True)
+        assert len(w_even) + len(w_odd) == g.n
+        res = certify_partition(g, w_even, w_odd, strategy, template)
+        assert res.status != "rejected", res.detail
+    path = tmp_path / "game.gm"
+    path.write_text(write_game(game))
+    assert cli.main(["solve", str(path), "--algo", "of-zl"]) == 0
+    assert capsys.readouterr().out.startswith("W_Even:")
 
 
 def test_extraction_artifacts_validate():
