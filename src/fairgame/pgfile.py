@@ -50,13 +50,13 @@ def parse_game(text) -> OddFairGame:
             if seen_header or seen_record:
                 raise ParseError("unexpected 'parity' header", lineno)
             rest = stmt[len("parity"):].strip()
-            if not rest.isdigit():
+            if not rest.isdecimal():
                 raise ParseError("malformed 'parity' header", lineno)
             seen_header = True
             continue
         if stmt.startswith("live"):
             parts = stmt[len("live"):].split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
                 raise ParseError("malformed 'live' line", lineno)
             live_records.append((int(parts[0]), int(parts[1]), lineno))
             continue

@@ -1,25 +1,26 @@
-"""Recursive attractor-based solver, with and without the fairness assumption.
+"""Zielonka-style attractor solver, with and without the fairness assumption.
 
-One routine serves both parities. It peels the top class present in its
-arena, solves the rest, and removes opponent attractors until stable. It
+One level routine serves both parities. It peels the top class present in
+its arena, solves the rest, and removes opponent attractors until stable. It
 reads the game's levels (`OddFairGame.level`, the dense relabelling of its
-priorities with the same order and parity) and recurses only into the
-classes present in each sub-arena, so its depth grows with the number of
-nested present classes, not with the priority values or absent levels.
+priorities with the same order and parity) and nests only into the classes
+present in each sub-arena. Each nested solve is a generator frame that
+yields its sub-arena; `_run` keeps the frames on a list, so the nesting depth
+is bounded by memory, not by Python's recursion limit.
 Under the fairness assumption Even's attractor additionally pulls in Odd
 vertices with a live edge into the attracted set, which overapproximates
-Even's classical reach. An Odd level therefore runs in rounds: the surviving
+Even's classical reach. An Odd level therefore runs in passes: the surviving
 core is grown by one plain Odd attractor and claimed for Odd, and if any
-live pull fired during the round the remainder is re-solved the same way
+live pull fired during the pass the remainder is re-solved the same way
 until the core comes back empty. The plain attractor alone can miss
 remainder vertices whose only escape is an odd cycle inside the
-overapproximated piece, which is why the rounds are needed. When no pull
+overapproximated piece, which is why the passes are needed. When no pull
 fired the removed pieces are exact attractors, so the remainder is already
-the opponent's region and the rounds stop early; an Even level, whose
-removed pieces are Odd attractors, always stops after one round. Either way
-the last round's pieces tile the opponent's region exactly.
+the opponent's region and the passes stop early; an Even level, whose
+removed pieces are Odd attractors, always stops after one pass. Either way
+the last pass's pieces tile the opponent's region exactly.
 
-With extract=True the recursion additionally assembles one chosen edge per
+With extract=True the frames additionally assemble one chosen edge per
 winning vertex of each player, combined at top level into an Odd template
 (closed under live edges on cycles) and an Even strategy.
 """
@@ -246,89 +247,61 @@ def _check_trap(game, lam: int, Z: Set[int], X: Set[int]):
             assert any(w in Z for w in inside_x), f"vertex {v} is forced out of the trap"
 
 
-def _round(ctx: _Ctx, top: int, arena: Set[int]):
-    """One peel-and-remove pass over arena for lam, the parity of its top class.
+def _solve(ctx: _Ctx, active: Set[int]):
+    """Solve active as a frame of `_run`: `sub = yield Z` asks for Z's solution.
 
-    Alternates the lam attractor to the top class with removals of the
-    opponent's sub-regions until the opponent's share of the leftover is
-    empty. Returns the final loop state: the surviving core X, the last
-    sub-solution with its attractor toward the top class, the removed pieces
-    (extract mode), and whether any opponent removal used a live pull.
+    Each pass reads the top class present in the remainder U; lam is its
+    parity. The peel loop alternates the lam attractor to that class with
+    removals of the opponent's sub-regions until the opponent's share of the
+    leftover core X is empty. A nonempty core is grown to its plain lam
+    attractor T inside U and claimed; without live pulls T equals X and the
+    removed pieces are exact, so the rest of U is the opponent's and the
+    pieces yield its edge choices directly. After a pull the pieces may be
+    too large and the next pass re-solves the shrunk remainder, whose top
+    class may have vanished. Only Even's attractor pulls, and it removes
+    pieces only at Odd levels, so an Even pass is always the last.
     """
-    game = ctx.game
-    lam = top % 2
-    opp = 1 - lam
-    level = game.level
-    C = {v for v in arena if level[v] == top}
-    X = set(arena)
-    removed_total: Set[int] = set()
-    pieces = []
-    pulled = False
-    while True:
-        if ctx.deadline is not None:
-            ctx.deadline.poll()
-        N = C & X
-        fair_n = lam == EVEN and ctx.use_live
-        reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N)
-        Z = X - reach_n
-        if ctx.check:
-            _check_trap(game, lam, Z, X)
-            if fair_n:
-                _check_no_live_crossing(game, Z, reach_n)
-        sub = _solve(ctx, Z)
-        z_opp = sub.win[opp]
-        if not z_opp:
-            break
-        fair_o = opp == EVEN and ctx.use_live
-        reach_o, rank_o, p = _safe_reach(game, opp, fair_o, X, z_opp)
-        pulled = pulled or p
-        if ctx.check:
-            whole, _, _ = _safe_reach(game, opp, fair_o, arena, removed_total | z_opp)
-            assert whole == removed_total | reach_o, "staged removals diverge from the joint attractor"
-        if ctx.extract:
-            pieces.append((sub, reach_o, rank_o, set(z_opp)))
-        X -= reach_o
-        removed_total |= reach_o
-        if ctx.check and fair_o:
-            _check_no_live_crossing(game, X, removed_total)
-    return X, sub, reach_n, rank_n, N, pieces, pulled
-
-
-def _solve(ctx: _Ctx, active: Set[int]) -> _Art:
-    """Solve active by its top present class; lam is that class's parity.
-
-    Claims cores for lam round by round until the remainder holds. Each round
-    runs the peel loop over the remainder U. A nonempty core X is grown to
-    its plain lam attractor T inside U and claimed; without live pulls T
-    equals X and the pieces removed by the round are exact, so the rest of U
-    is the opponent's. After a pull the pieces may be too large and the
-    shrunk remainder is re-solved. Only Even's attractor pulls, and it
-    removes pieces only at Odd levels, so an Even level stops after one
-    round. The last round's pieces tile the final remainder, which yields
-    the opponent's edge choices directly.
-    """
-    if ctx.deadline is not None:
-        ctx.deadline.poll()
     game = ctx.game
     level = game.level
     art = _Art(ctx.extract)
-    if not active:
-        return art
-    top = max(level[v] for v in active)
-    lam = top % 2
-    opp = 1 - lam
     win, choice = art.win, art.choice
     U = set(active)
-    while True:
-        if not any(level[v] == top for v in U):
-            sub = _solve(ctx, U)
-            win[lam] |= sub.win[lam]
-            U = set(sub.win[opp])
+    while U:
+        top = max(level[v] for v in U)
+        lam = top % 2
+        opp = 1 - lam
+        C = {v for v in U if level[v] == top}
+        X = set(U)
+        removed: Set[int] = set()
+        pieces = []
+        pulled = False
+        while True:
+            if ctx.deadline is not None:
+                ctx.deadline.poll()
+            N = C & X
+            fair_n = lam == EVEN and ctx.use_live
+            reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N)
+            Z = X - reach_n
+            if ctx.check:
+                _check_trap(game, lam, Z, X)
+                if fair_n:
+                    _check_no_live_crossing(game, Z, reach_n)
+            sub = yield Z
+            z_opp = sub.win[opp]
+            if not z_opp:
+                break
+            fair_o = opp == EVEN and ctx.use_live
+            reach_o, rank_o, p = _safe_reach(game, opp, fair_o, X, z_opp)
+            pulled = pulled or p
+            if ctx.check:
+                whole, _, _ = _safe_reach(game, opp, fair_o, U, removed | z_opp)
+                assert whole == removed | reach_o, "staged removals diverge from the joint attractor"
             if ctx.extract:
-                choice[lam].update(sub.choice[lam])
-                choice[opp].update(sub.choice[opp])
-            break
-        X, sub, reach_n, rank_n, N, pieces, pulled = _round(ctx, top, U)
+                pieces.append((sub, reach_o, rank_o, set(z_opp)))
+            X -= reach_o
+            removed |= reach_o
+            if ctx.check and fair_o:
+                _check_no_live_crossing(game, X, removed)
         if X:
             if ctx.extract:
                 choice[lam].update(sub.choice[lam])
@@ -336,27 +309,43 @@ def _solve(ctx: _Ctx, active: Set[int]) -> _Art:
                 for v in N:
                     if game.owner[v] == lam:
                         choice[lam][v] = min(w for w in game.succ[v] if w in X)
+            T = X
             if pulled or ctx.check:
                 T, rank_t, _ = _safe_reach(game, lam, False, U, X)
-                if ctx.check and not pulled:
-                    assert T == X, "pull-free core grew under the plain attractor"
-            else:
-                T, rank_t = set(X), {v: 1 for v in X}
-            if ctx.extract:
-                choice[lam].update(_reach_choices(game, lam, T, rank_t, X))
+                assert pulled or T == X, "pull-free core grew under the plain attractor"
+                if ctx.extract:
+                    choice[lam].update(_reach_choices(game, lam, T, rank_t, X))
             win[lam] |= T
             U -= T
-            if pulled and U:
+            if pulled:
                 continue
-        if ctx.extract and U:
+        if ctx.extract:
             for sub_i, reach_i, rank_i, z_i in pieces:
                 choice[opp].update(sub_i.choice[opp])
                 choice[opp].update(_reach_choices(game, opp, reach_i, rank_i, z_i))
+        win[opp] |= U
         break
     if ctx.check:
-        _check_trap(game, lam, U, active)
-    win[opp] = U
+        _check_trap(game, EVEN, win[ODD], active)
+        _check_trap(game, ODD, win[EVEN], active)
     return art
+
+
+def _run(ctx: _Ctx, active: Set[int]) -> _Art:
+    """Drive `_solve` frames on an explicit stack and return the root's result."""
+    stack = [_solve(ctx, active)]
+    sent = None
+    while True:
+        try:
+            Z = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            sent = done.value
+        else:
+            stack.append(_solve(ctx, Z))
+            sent = None
 
 
 def _top(
@@ -368,7 +357,7 @@ def _top(
 ) -> RecursionArtifacts:
     game = view.game
     ctx = _Ctx(game, use_live, extract, check, deadline)
-    art = _solve(ctx, set(view.active))
+    art = _run(ctx, set(view.active))
     w_even = Region.of(game.n, art.win[EVEN])
     w_odd = Region.of(game.n, art.win[ODD])
     out = RecursionArtifacts(win_even=w_even, win_odd=w_odd)

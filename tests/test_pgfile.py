@@ -62,6 +62,8 @@ def test_parse_accepts_duplicate_successor_entries():
         ("0 1 1 0;\n1 1 1 1;\nlive 0 1;\n", 3, "not in the edge set"),
         ("0 1 0 0;\nparity 0;\n", 2, "unexpected 'parity'"),
         ("parity x;\n", 1, "malformed 'parity'"),
+        ("parity \u00b2;\n", 1, "malformed 'parity'"),
+        ("0 1 0 0;\nlive \u00b2 0;\n", 2, "malformed 'live'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno, needle):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fairgame import cli
@@ -178,6 +180,34 @@ def test_many_priority_classes_solve_without_deep_recursion(tmp_path, capsys, se
     assert capsys.readouterr().out.startswith("W_Even:")
 
 
+def chain(n, live=True):
+    """Vertex v: priority v + 1, a self-loop and a step to v - 1 (live at odd v)."""
+    steps = [(v, v - 1) for v in range(1, n, 2)] if live else ()
+    return build_game(
+        [v % 2 for v in range(n)], [v + 1 for v in range(n)],
+        [[0]] + [[v - 1, v] for v in range(1, n)], live=steps,
+    )
+
+
+def test_chain_of_nested_classes_solves_past_the_recursion_limit(tmp_path, capsys):
+    # every vertex is its own present class, nested one frame per vertex
+    played = {"of-zl": chain(1200), "n-zl": chain(1200, live=False)}
+    for algo, g in played.items():
+        w_even, w_odd, template, strategy, _ = solve_instance(g, algo, None, True)
+        assert len(w_even) + len(w_odd) == g.n
+        res = certify_partition(g, w_even, w_odd, strategy, template)
+        assert res.status != "rejected", res.detail
+    view = SubgameView.full(chain(300))
+    for solver in (solve_zielonka_fair, solve_zielonka_normal):
+        a = solver(view, extract=True, check=True)
+        b = solver(view, extract=True)
+        assert a.win_odd == b.win_odd and a.odd_template.edges == b.odd_template.edges
+    path = tmp_path / "chain600.gm"
+    path.write_text(write_game(chain(600)))
+    assert cli.main(["solve", str(path), "--algo", "of-zl", "--template"]) == 0
+    assert capsys.readouterr().out.startswith("W_Even:")
+
+
 def test_extraction_artifacts_validate():
     checked = 0
     for _seed, _alpha, g in small_games(150, max_n=8, start_seed=5300):
@@ -198,3 +228,50 @@ def test_extraction_matches_plain_solve():
         with_art = solve_zielonka_fair(view, extract=True)
         assert plain.win_even == with_art.win_even
         assert plain.win_odd == with_art.win_odd
+
+
+def offset_ladder(k, dual, offset):
+    """benchmark/gen.ladder's k-rung ladder (or dual) with priorities raised by offset."""
+    n = 2 * k + 1
+    owners, pris, succs = [1] + [0] * (n - 1), [1] * n, [[0]] + [None] * (n - 1)
+    for i in range(1, k + 1):
+        a, t = 2 * i, 2 * i - 1
+        owners[t], pris[t] = 1, 2
+        succs[a], succs[t] = [t, a], [2 * (i - 1)]
+    if dual:
+        owners = [1 - o for o in owners]
+        pris = [p + 1 for p in pris]
+    return build_game(owners, [p + offset for p in pris], succs)
+
+
+def golden_cases():
+    for _seed, _alpha, g in small_games(300):
+        yield g
+    for k in (1, 2, 5, 9):
+        for dual in (False, True):
+            for offset in (0, 2, 6):
+                for alpha in (0, 60):
+                    yield mutate_liveness(offset_ladder(k, dual, offset), alpha, k + offset)
+
+
+def artifact_digest(**kw):
+    h = hashlib.sha256()
+    for g in golden_cases():
+        view = SubgameView.full(g)
+        for solver in (solve_zielonka_fair, solve_zielonka_normal):
+            art = solver(view, extract=True, **kw)
+            h.update(repr((
+                sorted(art.win_even), sorted(art.win_odd),
+                sorted(art.odd_template.edges), sorted(art.even_strategy.choice.items()),
+            )).encode())
+    return h.hexdigest()
+
+
+# regions, template edges and strategy choices of the Zielonka core, pinned;
+# a change to this digest changes the solver's artifacts and must be deliberate
+ARTIFACT_DIGEST = "bc65e204cadc76aa51d9ff3c8e33e3d8a4dfa07472d74b70ff5201703c126776"
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_artifacts_match_golden_digest(check):
+    assert artifact_digest(check=check) == ARTIFACT_DIGEST
