@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -156,6 +157,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _seconds(text: str) -> float:
+    """A --timeout value: any float but NaN, a deadline no clock reaches."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return value
+
+
 @functools.cache  # building it costs more than solving a small game
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -170,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", action="store_true", help="print the Odd template and Even strategy")
     p.add_argument("--certify", action="store_true", help="certify the result exhaustively")
     p.add_argument("--ranks", action="store_true", help="print per-vertex ranks")
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=_seconds, default=None)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_solve, print_regions=True)
 
@@ -185,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run solvers over a directory of instances")
     p.add_argument("directory")
     p.add_argument("--algos", default=",".join(SOLVER_TAGS))
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_seconds, default=60.0)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
@@ -201,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="solve and certify one instance")
     p.add_argument("file")
     p.add_argument("--algo", default="of-fp", choices=SOLVER_TAGS)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=_seconds, default=None)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_solve, print_regions=False, certify=True, template=False, ranks=False)
 

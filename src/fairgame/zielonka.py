@@ -20,6 +20,20 @@ the opponent's region and the passes stop early; an Even level, whose
 removed pieces are Odd attractors, always stops after one pass. Either way
 the last pass's pieces tile the opponent's region exactly.
 
+The peel loop keeps the top class's attractor alive across removals rather
+than recomputing it over the whole arena each time (delete and re-derive,
+`_rederive`). Each removed piece is an opponent attractor, so what is left
+is an opponent trap: its opponent vertices keep every successor and live
+edge, only the attracting player's vertices lose edges, and the new
+attractor is a subset of the old one. The layer ranks are stamps that
+order each derivation, so a removal drops only the vertices whose stamps
+say they may have used a removed one and re-attracts among those, stamping
+above every other rank. A removal that cuts at least as many vertices as
+it leaves is followed by a recompute instead, which the cut pays for.
+Either way the work follows what the removals touch. The extracted choices
+read the ranks of a from-scratch attractor, recomputed once when the peel
+loop ends on a kept one.
+
 With extract=True the frames additionally assemble one chosen edge per
 winning vertex of each player, combined at top level into an Odd template
 (closed under live edges on cycles) and an Even strategy.
@@ -97,11 +111,21 @@ def _safe_reach(
         arena = S
     reach = set(R)
     rank = {v: 1 for v in R}
+    _, pulled = _attract(game, player, fair, S, arena, reach, rank, list(R), 1)
+    return reach, rank, pulled
+
+
+def _attract(game, player, fair, S, arena, reach, rank, frontier, level):
+    """Grow reach in place, one layer per level, from the vertices in frontier.
+
+    A vertex of S joins when its owner can force the next step into reach
+    (see `_safe_reach`) and gets the layer's level as its rank. Every member
+    of frontier must be in reach, and the counts start from frontier alone.
+    Returns (the last level, pulled flag).
+    """
     cnt: Dict[int, int] = {}
     lcnt: Dict[int, int] = {}
     deg: Dict[int, int] = {}
-    frontier = list(R)
-    level = 1
     pulled = False
     while frontier:
         level += 1
@@ -133,7 +157,42 @@ def _safe_reach(
         for v in frontier:
             reach.add(v)
             rank[v] = level
-    return reach, rank, pulled
+    return level, pulled
+
+
+def _rederive(game, player, fair, X, reach, rank, gone, top):
+    """Update player's attractor in place after its arena lost gone.
+
+    reach is player's attractor in the arena X | gone, with its ranks as
+    stamps; no stamp exceeds top, and X must be an opponent trap of that
+    arena, so the new attractor in X is a subset of reach. Delete and
+    re-derive: drop gone, then every vertex whose derivation may have used a
+    dropped one (a higher stamp and an edge to it; live edges are edges),
+    except a player vertex that still has a lower-stamped successor in the
+    set; then re-attract inside the over-deleted set, stamping each layer
+    above top. Returns (over, top): the over-deleted vertices, some of which
+    may be back in reach, and the new bound on the stamps.
+    """
+    owner, succ = game.owner, game.succ
+    lost = [u for u in gone if u in reach]
+    reach.difference_update(lost)
+    over = set()
+    while lost:
+        u = lost.pop()
+        ru = rank.pop(u)
+        for p in game.pred[u]:
+            if p not in reach or rank[p] <= ru:
+                continue
+            if owner[p] == player:
+                rp = rank[p]
+                if any(w in reach and rank[w] < rp for w in succ[p]):
+                    continue
+            reach.discard(p)
+            over.add(p)
+            lost.append(p)
+    edge = {w for v in over for w in succ[v] if w in reach}
+    top, _ = _attract(game, player, fair, over, X, reach, rank, list(edge), top)
+    return over, top
 
 
 def _reach_choices(
@@ -259,7 +318,9 @@ def _solve(ctx: _Ctx, active: Set[int]):
     pieces yield its edge choices directly. After a pull the pieces may be
     too large and the next pass re-solves the shrunk remainder, whose top
     class may have vanished. Only Even's attractor pulls, and it removes
-    pieces only at Odd levels, so an Even pass is always the last.
+    pieces only at Odd levels, so an Even pass is always the last. The lam
+    attractor is updated after each removal that leaves more than it cuts
+    (kept) and recomputed after the others.
     """
     game = ctx.game
     level = game.level
@@ -270,19 +331,23 @@ def _solve(ctx: _Ctx, active: Set[int]):
         top = max(level[v] for v in U)
         lam = top % 2
         opp = 1 - lam
-        C = {v for v in U if level[v] == top}
+        N = {v for v in U if level[v] == top}
         X = set(U)
+        fair_n = lam == EVEN and ctx.use_live
         removed: Set[int] = set()
         pieces = []
         pulled = False
+        kept = False
         while True:
             if ctx.deadline is not None:
                 ctx.deadline.poll()
-            N = C & X
-            fair_n = lam == EVEN and ctx.use_live
-            reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N)
-            Z = X - reach_n
+            if not kept:
+                reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N)
+                stamp = len(X)  # no layer rank exceeds the arena's size
+                Z = X - reach_n
             if ctx.check:
+                assert reach_n == _safe_reach(game, lam, fair_n, X, N)[0], "maintained attractor diverges"
+                assert Z == X - reach_n, "maintained remainder diverges"
                 _check_trap(game, lam, Z, X)
                 if fair_n:
                     _check_no_live_crossing(game, Z, reach_n)
@@ -299,11 +364,20 @@ def _solve(ctx: _Ctx, active: Set[int]):
             if ctx.extract:
                 pieces.append((sub, reach_o, rank_o, set(z_opp)))
             X -= reach_o
+            N -= reach_o
             removed |= reach_o
             if ctx.check and fair_o:
                 _check_no_live_crossing(game, X, removed)
+            # a cut at least as large as what is left pays for recomputing
+            kept = len(reach_o) < len(X)
+            if kept:
+                Z -= reach_o
+                over, stamp = _rederive(game, lam, fair_n, X, reach_n, rank_n, reach_o, stamp)
+                Z |= over - reach_n
         if X:
             if ctx.extract:
+                if kept:  # the choices read the from-scratch ranks
+                    reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N)
                 choice[lam].update(sub.choice[lam])
                 choice[lam].update(_reach_choices(game, lam, reach_n, rank_n, N))
                 for v in N:

@@ -98,6 +98,20 @@ def test_timeout_zero_is_a_deadline(ex1_file, capsys, command):
         assert capsys.readouterr().err == "timeout\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "check", "bench"])
+def test_timeout_nan_is_refused(ex1_file, tmp_path, capsys, command):
+    # every comparison with NaN is false, so a NaN deadline would never expire
+    argv = [command, ex1_file]
+    if command == "bench":
+        argv += ["--out", str(tmp_path / "o.csv")]
+    for bad in ("nan", "NaN", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--timeout", bad])
+        assert exc.value.code == 2
+        assert f"argument --timeout: invalid float value: '{bad}'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_check_command(ex1_file, capsys):
     assert main(["check", ex1_file]) == 0
     assert "certified" in capsys.readouterr().out

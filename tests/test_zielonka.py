@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from fairgame import cli
+from fairgame import cli, zielonka
 from fairgame.bench import solve_instance
 from fairgame.certify import certify_partition
 from fairgame.game import EVEN, ODD, Region, SubgameView
@@ -11,6 +11,8 @@ from fairgame.pgfile import mutate_liveness, random_game, write_game
 from fairgame.templates import validate_even_strategy, validate_odd_template
 from fairgame.zielonka import (
     _public_reach,
+    _rederive,
+    _safe_reach,
     safe_reach_even_fair,
     safe_reach_even_full,
     solve_zielonka_fair,
@@ -254,9 +256,18 @@ def golden_cases():
                     yield mutate_liveness(offset_ladder(k, dual, offset), alpha, k + offset)
 
 
-def artifact_digest(**kw):
+def peel_cases():
+    # 5-64 vertices, where the peel loop's maintained stamps can differ from
+    # the from-scratch ranks that the extracted choices read
+    for seed in range(400):
+        base = random_game(5 + seed % 60, 2 + seed % 6, seed)
+        for alpha in (0, 50):
+            yield mutate_liveness(base, alpha, seed)
+
+
+def artifact_digest(cases, **kw):
     h = hashlib.sha256()
-    for g in golden_cases():
+    for g in cases:
         view = SubgameView.full(g)
         for solver in (solve_zielonka_fair, solve_zielonka_normal):
             art = solver(view, extract=True, **kw)
@@ -268,10 +279,82 @@ def artifact_digest(**kw):
 
 
 # regions, template edges and strategy choices of the Zielonka core, pinned;
-# a change to this digest changes the solver's artifacts and must be deliberate
+# a change to these digests changes the solver's artifacts and must be deliberate
 ARTIFACT_DIGEST = "bc65e204cadc76aa51d9ff3c8e33e3d8a4dfa07472d74b70ff5201703c126776"
+PEEL_DIGEST = "43cb4b012f1d00491e560bbfb4fbf4f4082948fd91036ff647de57990c572f3e"
 
 
 @pytest.mark.parametrize("check", [False, True])
 def test_artifacts_match_golden_digest(check):
-    assert artifact_digest(check=check) == ARTIFACT_DIGEST
+    assert artifact_digest(golden_cases(), check=check) == ARTIFACT_DIGEST
+    assert artifact_digest(peel_cases(), check=check) == PEEL_DIGEST
+
+
+def test_rederive_matches_reference_after_removals():
+    # the peel loop keeps lam's attractor of N alive while opponent
+    # attractors are cut from the arena; after each cut it must equal the
+    # attractor of what is left, and its stamps must still order derivations
+    checked = rederived = 0
+    for seed, _alpha, g in small_games(600, max_n=14, start_seed=7100):
+        for lam in (EVEN, ODD):
+            for use_live in (False, True):
+                fair, fair_o = use_live and lam == EVEN, use_live and lam == ODD
+                X = set(range(g.n))
+                N = {v for v in X if (v + seed) % 3 == 0} or {0}
+                reach, rank, _ = _safe_reach(g, lam, fair, X, N)
+                top = max(rank.values())
+                for step in range(1 + seed % 3):
+                    if not X:
+                        break
+                    seeds = {v for v in X if (5 * v + seed + step) % 7 == 0} or {min(X)}
+                    gone = _safe_reach(g, 1 - lam, fair_o, X, seeds)[0]
+                    X -= gone
+                    N -= gone
+                    before = reach - gone
+                    over, top = _rederive(g, lam, fair, X, reach, rank, gone, top)
+                    assert reach == naive_reach(g, lam, fair, X, N)
+                    assert over <= before and before - over <= reach <= before
+                    assert set(rank) == reach and all(rank[v] <= top for v in reach)
+                    for v in reach:
+                        assert (rank[v] == 1) == (v in N)
+                        if v in N:
+                            continue
+                        lower = [w for w in g.succ[v] if w in reach and rank[w] < rank[v]]
+                        if g.owner[v] == lam:
+                            assert lower, f"player vertex {v} lost its derivation"
+                        elif len(lower) < sum(1 for w in g.succ[v] if w in X):
+                            assert fair and g.owner[v] == ODD and any(
+                                w in reach and rank[w] < rank[v] for w in g.live_succ[v]
+                            ), f"opponent vertex {v} lost its derivation"
+                    checked += 1
+                    rederived += len(over & reach)
+    assert checked >= 3000 and rederived >= 150
+
+
+def test_attractor_work_is_linear_on_ladders(monkeypatch):
+    # vertices added by the attractors, plus those the re-derivation
+    # over-deletes (each is re-attracted at most once); re-attracting the top
+    # class over the whole arena on every peel made this quadratic in k
+    added = [0]
+    safe_reach, rederive = zielonka._safe_reach, zielonka._rederive
+
+    def counted_safe_reach(game, player, fair, S, R, arena=None):
+        out = safe_reach(game, player, fair, S, R, arena)
+        added[0] += len(out[0]) - len(R)
+        return out
+
+    def counted_rederive(*args):
+        out = rederive(*args)
+        added[0] += len(out[0])
+        return out
+
+    monkeypatch.setattr(zielonka, "_safe_reach", counted_safe_reach)
+    monkeypatch.setattr(zielonka, "_rederive", counted_rederive)
+    for dual in (False, True):
+        for algo in ("of-zl", "n-zl"):
+            work = {}
+            for k in (500, 1000):
+                added[0] = 0
+                solve_instance(offset_ladder(k, dual, 0), algo, None, True)
+                work[k] = added[0]
+            assert 0 < work[1000] <= 2.5 * work[500], (dual, algo, work)
