@@ -3,11 +3,11 @@
 Games are dense-id parity games where some edges out of Odd vertices are
 marked live: Odd's plays must take every live edge infinitely often when its
 source recurs. The package bundles two fixed-point solvers, a recursive
-attractor solver, strategy template extraction, exhaustive certification,
-the file format, mutators and a benchmark harness. `solve_instance` maps a
-solver tag (`of-zl`, `of-fp`, `n-zl`, `n-fp`) to solver calls for the
-command line and the harness alike; the command line itself lives in
-`fairgame.cli` and is not imported here.
+attractor solver, strategy template extraction, polynomial-time
+certification, the file format, mutators and a benchmark harness.
+`solve_instance` maps a solver tag (`of-zl`, `of-fp`, `n-zl`, `n-fp`) to
+solver calls for the command line and the harness alike; the command line
+itself lives in `fairgame.cli` and is not imported here.
 """
 
 from .game import (

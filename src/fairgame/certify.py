@@ -1,16 +1,19 @@
-"""Exhaustive certification of templates and strategies on small instances.
+"""Certification of templates and strategies in polynomial time.
 
 Both sides ask one question: is there a vertex set that some play can visit
 forever, with a top priority of the wrong parity? Each side describes the
 plays by two successor lists per region vertex: `must`, the successors a set
 has to keep inside (it is closed under them), and `may`, the successors the
-play can take. A single search walks every subset of the sorted region as a
-bit mask, in ascending order, and keeps the closed sets in which every member
-has a `may` edge inside and forward and backward reach from the lowest member
-both cover the set. The template side must see an odd maximum priority on all
-of them, the strategy side an even one. This is exponential in the vertex
-count and guarded by an edge bound; it serves as a ground-truth oracle for
-the solvers, not as a scalable checker.
+play can take. Such a set is closed under `must` and strongly connected under
+the `may` edges inside it. One search finds one, Emerson-Lei style (Emerson
+and Lei, "Modalities for model checking", 1987): drop the vertices that
+cannot stay in the candidate set, split the rest into strongly connected
+components with the Tarjan routine of `templates`, report a closed component
+whose top priority has the wrong parity, and otherwise search it again
+without its top priority class. Every set it searches is a strict subset
+of the one it came from, and the sets at one depth are disjoint, so it
+takes O(n·(n + m)) time at worst. The template side must see an odd top
+priority on every such set, the strategy side an even one.
 """
 
 from __future__ import annotations
@@ -27,12 +30,10 @@ from .templates import (
     validate_odd_template,
 )
 
-DEFAULT_MAX_EDGES = 20
-
 
 @dataclass
 class CertifyResult:
-    status: str  # "certified" | "rejected" | "too_large"
+    status: str  # "certified" | "rejected"
     detail: str
     counterexample: Optional[FrozenSet[Tuple[int, int]]] = None
 
@@ -41,79 +42,56 @@ class CertifyResult:
         return self.status == "certified"
 
 
-def _reach(adj: List[int], mask: int) -> int:
-    """Bits of mask reachable from its lowest bit along adj, inside mask."""
-    seen = frontier = mask & -mask
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen
-
-
 def _bad_set(
     game: OddFairGame,
     must: Dict[int, Sequence[int]],
     may: Dict[int, Sequence[int]],
     parity: int,
 ) -> Optional[Tuple[List[int], FrozenSet[Tuple[int, int]]]]:
-    """First closed strongly connected set whose top priority has the parity.
+    """A closed strongly connected set whose top priority has the parity.
 
-    must and may map every region vertex to successor lists. Subsets of the
-    sorted region are tried as bit masks in ascending order; the first one
-    that passes is returned, sorted, with its may edges.
+    must and may map every region vertex to successor lists, must within
+    may. Returns the set, sorted, with its may edges, or None.
     """
-    verts = sorted(may)
-    m = len(verts)
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    outside = 1 << m  # a target outside the region never lies in a mask
-
-    def bits(ws: Sequence[int]) -> int:
-        out = 0
+    preds: Dict[int, List[int]] = {v: [] for v in may}
+    for v, ws in may.items():
         for w in ws:
-            out |= bit.get(w, outside)
-        return out
-
-    need = [bits(must[v]) for v in verts]
-    fwd = [bits(may[v]) for v in verts]
-    bwd = [sum(1 << i for i in range(m) if (fwd[i] >> j) & 1) for j in range(m)]
-    by_priority = sorted(((game.priority[v], bit[v]) for v in verts), reverse=True)
-    for mask in range(1, 1 << m):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if need[i] & ~mask or not fwd[i] & mask:
-                break
-            rest ^= low
-        if rest or next(p for p, b in by_priority if b & mask) % 2 != parity:
-            continue
-        if _reach(fwd, mask) != mask or _reach(bwd, mask) != mask:
-            continue
-        members = [v for v in verts if bit[v] & mask]
-        inside = set(members)
-        adj = {v: [w for w in may[v] if w in inside] for v in members}
-        assert len(_scc_components(members, adj)) == 1, "bit-mask reach disagrees with Tarjan"
-        return members, frozenset((v, w) for v in members for w in adj[v])
+            if w in preds:
+                preds[w].append(v)
+    stack = [set(may)]
+    while stack:
+        S = stack.pop()
+        count = {v: sum(w in S for w in may[v]) for v in S}
+        dropped = [v for v in S if not count[v] or any(w not in S for w in must[v])]
+        S.difference_update(dropped)
+        for u in dropped:  # grows while it is walked
+            for q in preds[u]:
+                if q in S:
+                    count[q] -= 1
+                    if not count[q] or u in must[q]:
+                        S.discard(q)
+                        dropped.append(q)
+        adj = {v: [w for w in may[v] if w in S] for v in S}
+        for comp in _scc_components(sorted(S), adj):
+            if len(comp) == 1 and comp[0] not in adj[comp[0]]:
+                continue
+            C = set(comp)
+            if len(C) < len(S) and any(w not in C for v in comp for w in must[v]):
+                stack.append(C)
+                continue
+            top = max(game.priority[v] for v in comp)
+            if top % 2 == parity:
+                members = sorted(comp)
+                return members, frozenset((v, w) for v in members for w in adj[v] if w in C)
+            stack.append({v for v in comp if game.priority[v] != top})
     return None
 
 
-def certify_odd_template(
-    game: OddFairGame, t: OddTemplate, *, max_edges: int = DEFAULT_MAX_EDGES
-) -> CertifyResult:
+def certify_odd_template(game: OddFairGame, t: OddTemplate) -> CertifyResult:
     """Check that every play compliant with the template sees an odd top priority."""
     problem = validate_odd_template(game, t)
     if problem is not None:
         return CertifyResult("rejected", f"invalid template: {problem}")
-    if len(t.edges) > max_edges:
-        return CertifyResult(
-            "too_large",
-            f"{len(t.edges)} template edges exceed the certification bound of {max_edges}",
-        )
     may: Dict[int, List[int]] = {v: [] for v in t.vertices}
     for (u, w) in t.edges:
         may[u].append(w)
@@ -130,9 +108,7 @@ def certify_odd_template(
     return CertifyResult("certified", "all compliant cycles are odd-dominated")
 
 
-def certify_even_strategy(
-    game: OddFairGame, s: EvenStrategy, *, max_edges: int = DEFAULT_MAX_EDGES
-) -> CertifyResult:
+def certify_even_strategy(game: OddFairGame, s: EvenStrategy) -> CertifyResult:
     """Check the strategy against all fair Odd behaviors inside its region."""
     problem = validate_even_strategy(game, s)
     if problem is not None:
@@ -145,12 +121,6 @@ def certify_even_strategy(
         else:
             # a valid strategy's region holds every successor of its Odd vertices
             must[v], may[v] = game.live_succ[v], tuple(dict.fromkeys(game.succ[v]))
-    edge_count = sum(len(ws) for ws in may.values())
-    if edge_count > max_edges:
-        return CertifyResult(
-            "too_large",
-            f"{edge_count} strategy edges exceed the certification bound of {max_edges}",
-        )
     found = _bad_set(game, must, may, ODD)
     if found is not None:
         members, edges = found
@@ -169,8 +139,6 @@ def certify_partition(
     w_odd: Region,
     strategy: EvenStrategy,
     template: OddTemplate,
-    *,
-    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> CertifyResult:
     """Certify a claimed winning partition with its strategy and template."""
     full = Region.full(game.n)
@@ -193,11 +161,11 @@ def certify_partition(
     if template.vertices != w_odd:
         return CertifyResult("rejected", "template region does not match w_odd")
     if w_even:
-        res = certify_even_strategy(game, strategy, max_edges=max_edges)
+        res = certify_even_strategy(game, strategy)
         if not res.certified:
             return res
     if w_odd:
-        res = certify_odd_template(game, template, max_edges=max_edges)
+        res = certify_odd_template(game, template)
         if not res.certified:
             return res
     return CertifyResult("certified", "both regions certified")

@@ -7,8 +7,8 @@ certified on the game those solvers play; solve through
 printed regions. A given `--timeout` is always a deadline, `--timeout 0`
 included.
 
-Exit codes: 0 success, 1 input or usage error, 2 certification failure or
-refusal, 3 solver timeout, 4 internal error.
+Exit codes: 0 success, 1 input or usage error, 2 certification failure,
+3 solver timeout, 4 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .bench import FAIR_TAGS, SOLVER_TAGS, run_bench, write_csv
 from .bench import solve_instance as _solve_instance
-from .certify import DEFAULT_MAX_EDGES, certify_partition
+from .certify import certify_partition
 from .fixpoint import extract_ranks
 from .game import Deadline, SolverTimeout
 from .pgfile import ParseError, mutate_liveness, mutate_priorities, parse_game, write_game
@@ -83,7 +83,7 @@ def cmd_solve(args) -> int:
         sys.stdout.write(format_template(game, template))
         sys.stdout.write(format_strategy(game, strategy))
     if args.certify:
-        res = certify_partition(game, w_even, w_odd, strategy, template, max_edges=args.max_edges)
+        res = certify_partition(game, w_even, w_odd, strategy, template)
         print(res.detail)
         if not res.certified:
             return 2
@@ -180,10 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--algo", default="of-zl", choices=SOLVER_TAGS)
     p.add_argument("--template", action="store_true", help="print the Odd template and Even strategy")
-    p.add_argument("--certify", action="store_true", help="certify the result exhaustively")
+    p.add_argument("--certify", action="store_true", help="certify the regions with their strategy and template")
     p.add_argument("--ranks", action="store_true", help="print per-vertex ranks")
     p.add_argument("--timeout", type=_seconds, default=None)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_solve, print_regions=True)
 
     p = sub.add_parser("mutate", help="derive an instance with random live edges or priorities")
@@ -214,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--algo", default="of-fp", choices=SOLVER_TAGS)
     p.add_argument("--timeout", type=_seconds, default=None)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_solve, print_regions=False, certify=True, template=False, ranks=False)
 
     return parser

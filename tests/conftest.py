@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import settings
 
+from fairgame import cli
 from fairgame.game import OddFairGame, SubgameView
 from fairgame.pgfile import mutate_liveness, random_game
+from fairgame.templates import EvenStrategy
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -62,3 +64,24 @@ def ex1_view(ex1):
 @pytest.fixture(scope="session")
 def g3():
     return make_g3()
+
+
+# Even owns both vertices and wins by moving 1 to 0; the loop on 1 is odd-dominated
+REDIRECT_GAME = "0 2 0 0;\n1 1 0 1,0;\n"
+
+
+def redirect_one_even_choice(monkeypatch):
+    """Make the CLI's solve entry move the first Even choice that has another
+    successor in W_Even to that successor."""
+    solve = cli._solve_instance
+
+    def redirected(game, *args):
+        w_even, w_odd, template, strategy, trace = solve(game, *args)
+        for v in sorted(strategy.choice):
+            others = [w for w in game.succ[v] if w != strategy.choice[v] and w in w_even]
+            if others:
+                strategy = EvenStrategy(strategy.n, strategy.vertices, {**strategy.choice, v: others[0]})
+                break
+        return w_even, w_odd, template, strategy, trace
+
+    monkeypatch.setattr(cli, "_solve_instance", redirected)

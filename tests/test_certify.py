@@ -1,14 +1,16 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+from fairgame.bench import FAIR_TAGS
 from fairgame.game import EVEN, ODD, Region, SubgameView
-from fairgame.certify import (
-    DEFAULT_MAX_EDGES,
-    certify_even_strategy,
-    certify_odd_template,
-    certify_partition,
-)
+from fairgame.certify import certify_even_strategy, certify_odd_template, certify_partition
+from fairgame.cli import _played_game, _region_line, _solve_instance
 from fairgame.fixpoint import extract_ranks, solve_odd_fp
-from fairgame.pgfile import mutate_liveness, random_game
+from fairgame.pgfile import mutate_liveness, random_game, write_game
 from fairgame.templates import validate_even_strategy, validate_odd_template
 from fairgame.templates import EvenStrategy, OddTemplate, build_rank_template, extract_even_strategy
+from fairgame.templates import format_strategy, format_template
 from fairgame.zielonka import solve_zielonka_fair
 
 from conftest import build_game, make_g3, small_games
@@ -56,19 +58,16 @@ def test_invalid_artifacts_are_rejected_up_front():
 
 
 def test_size_guard():
-    t = OddTemplate(1, Region.full(1), frozenset({(0, 0)}))
-    res = certify_odd_template(odd_loop(1), t, max_edges=0)
-    assert res.status == "too_large"
-    assert "bound" in res.detail
-    # a real instance over the default bound
-    n = DEFAULT_MAX_EDGES + 1
-    g = build_game(
-        owners=[1] * n,
-        priorities=[1] * n,
-        succ=[[(v + 1) % n] for v in range(n)],
-    )
+    # there is no size bound: a 21-edge cycle is decided like a self-loop
+    n = 21
     big = OddTemplate(n, Region.full(n), frozenset((v, (v + 1) % n) for v in range(n)))
-    assert certify_odd_template(g, big).status == "too_large"
+
+    def cycle(priority):
+        return build_game(owners=[1] * n, priorities=[priority] * n, succ=[[(v + 1) % n] for v in range(n)])
+
+    assert certify_odd_template(cycle(1), big).certified
+    res = certify_odd_template(cycle(2), big)
+    assert res.status == "rejected" and res.counterexample == big.edges
 
 
 def test_partition_claim_checks():
@@ -144,7 +143,8 @@ def test_tampered_solver_output_is_caught():
 
 def test_partition_checks_iterate_regions_a_fixed_number_of_times(monkeypatch):
     # membership is tested against sets built once per region, so the number
-    # of region walks stays constant while the game grows
+    # of region walks stays constant while the game grows; seed 42 leaves
+    # both regions non-empty at both sizes
     calls = []
     walk = Region.__iter__
 
@@ -154,18 +154,77 @@ def test_partition_checks_iterate_regions_a_fixed_number_of_times(monkeypatch):
 
     counts = {}
     for n in (500, 2000):
-        g = random_game(n, 4, 31)
+        g = random_game(n, 4, 42)
         art = solve_zielonka_fair(SubgameView.full(g), extract=True)
         monkeypatch.setattr(Region, "__iter__", counted)
         res = certify_partition(g, art.win_even, art.win_odd, art.even_strategy, art.odd_template)
         monkeypatch.setattr(Region, "__iter__", walk)
-        assert res.status == "too_large", res.detail
+        assert res.certified and art.win_even and art.win_odd, res.detail
         counts[n] = len(calls)
         calls.clear()
     assert counts[500] == counts[2000] <= 8, counts
 
 
-# -- reference: the set-based subset search that the bit-mask search replaced --
+def _bench_checker():
+    """benchmark/checker.py, which shares no code with the program."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "checker.py"
+    spec = importlib.util.spec_from_file_location("bench_checker", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _broken_claims(g, w_even, w_odd, s, t):
+    """The claim with one Even choice redirected, then with one Odd template
+    edge swapped, each inside its region. Each takes the move most likely to
+    close a losing cycle: the new successor leads straight back, and the
+    moved vertex has a high priority of the losing parity."""
+    moves = [
+        (v in (g.succ[w] if g.owner[w] == ODD else [s.choice[w]]), g.priority[v] % 2 == ODD,
+         g.priority[v], v, w)
+        for v in s.choice for w in g.succ[v] if w != s.choice[v] and w in w_even
+    ]
+    if moves:
+        *_, v, w = max(moves)
+        yield EvenStrategy(s.n, s.vertices, {**s.choice, v: w}), t
+    swaps = [
+        ((x, u) in t.edges, g.priority[u] % 2 == EVEN, g.priority[u], u, w, x)
+        for (u, w) in t.edges if g.owner[u] == ODD and w not in g.live_succ[u]
+        for x in g.succ[u] if x in w_odd and (u, x) not in t.edges
+    ]
+    if swaps:
+        *_, u, w, x = max(swaps)
+        yield s, OddTemplate(t.n, t.vertices, (t.edges - {(u, w)}) | {(u, x)})
+
+
+def test_partition_verdicts_match_the_benchmark_checker_at_scale():
+    checker = _bench_checker()
+    verdicts = {True: 0, False: 0}
+    for i, n in enumerate((200, 250, 300, 500, 1000, 2000, 3000)):
+        for alpha in (0, 50):
+            game = mutate_liveness(random_game(n, 4 + i % 4, 60 + i), alpha, 60 + i)
+            theirs = checker.read_game(write_game(game))
+            for algo in ("of-zl", "n-zl"):
+                played = _played_game(game, algo)
+                w_even, w_odd, t, s, _trace = _solve_instance(played, algo, None, True)
+                for strategy, template in ((s, t), *_broken_claims(played, w_even, w_odd, s, t)):
+                    certified = certify_partition(played, w_even, w_odd, strategy, template).certified
+                    text = "\n".join([
+                        _region_line(game, "W_Even", w_even),
+                        _region_line(game, "W_Odd", w_odd),
+                        format_template(game, template) + format_strategy(game, strategy),
+                    ])
+                    try:
+                        checker.check(theirs, checker.read_output(text), algo in FAIR_TAGS)
+                        accepted = True
+                    except checker.CheckFailure:
+                        accepted = False
+                    assert certified == accepted, (n, alpha, algo)
+                    verdicts[accepted] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 15, verdicts
+
+
+# -- reference: a set-based search over every subset of the region --
 
 
 def _ref_strongly_connected(nodes, edges):
@@ -233,12 +292,10 @@ def _ref_search(game, verts, edges_of, parity):
     return None
 
 
-def _ref_template(game, t, max_edges):
+def _ref_template(game, t):
     problem = validate_odd_template(game, t)
     if problem is not None:
         return ("rejected", f"invalid template: {problem}", None)
-    if len(t.edges) > max_edges:
-        return ("too_large", f"{len(t.edges)} template edges exceed the certification bound of {max_edges}", None)
     verts = sorted(t.vertices)
     out_t = {v: [] for v in verts}
     for (u, w) in t.edges:
@@ -249,13 +306,10 @@ def _ref_template(game, t, max_edges):
     return ("certified", "all compliant cycles are odd-dominated", None)
 
 
-def _ref_strategy(game, s, max_edges):
+def _ref_strategy(game, s):
     problem = validate_even_strategy(game, s)
     if problem is not None:
         return ("rejected", f"invalid strategy: {problem}", None)
-    edge_count = len(s.choice) + sum(len(set(game.succ[v])) for v in s.vertices if game.owner[v] == ODD)
-    if edge_count > max_edges:
-        return ("too_large", f"{edge_count} strategy edges exceed the certification bound of {max_edges}", None)
     found = _ref_search(game, sorted(s.vertices), lambda members: _ref_edges_even(game, s, members), ODD)
     if found is not None:
         return (
@@ -266,7 +320,7 @@ def _ref_strategy(game, s, max_edges):
     return ("certified", "all fair plays against the strategy are even-dominated", None)
 
 
-def _ref_partition(game, w_even, w_odd, s, t, max_edges):
+def _ref_partition(game, w_even, w_odd, s, t):
     if (w_even | w_odd) != Region.full(game.n) or not w_even.isdisjoint(w_odd):
         return ("rejected", "not a partition", None)
     for v in w_even:
@@ -286,8 +340,8 @@ def _ref_partition(game, w_even, w_odd, s, t, max_edges):
     if t.vertices != w_odd:
         return ("rejected", "template region does not match w_odd", None)
     for res in (
-        _ref_strategy(game, s, max_edges) if w_even else None,
-        _ref_template(game, t, max_edges) if w_odd else None,
+        _ref_strategy(game, s) if w_even else None,
+        _ref_template(game, t) if w_odd else None,
     ):
         if res is not None and res[0] != "certified":
             return res
@@ -322,45 +376,67 @@ def _claims(g):
         )
 
 
-def _outcome(res):
-    return (res.status, res.detail, res.counterexample)
+_REJECTION = {
+    "strategy": "a fair play against the strategy can stay on an odd-dominated cycle through ",
+    "template": "a compliant play can stay on an even-dominated cycle through ",
+}
 
 
-def _differential(games, max_edges):
+def _check_verdict(g, s, t, got, ref):
+    """got equals the reference result, except that a search rejection may
+    name another bad set; that set must then be a genuine one."""
+    if ref[2] is None:
+        assert (got.status, got.detail, got.counterexample) == ref
+        return
+    side = next(k for k, prefix in _REJECTION.items() if ref[1].startswith(prefix))
+    members = {u for (u, _w) in got.counterexample or ()}
+    assert got.status == ref[0] and members, (got, ref)
+    assert got.detail == _REJECTION[side] + ", ".join(g.label(v) for v in sorted(members))
+    if side == "strategy":
+        edges, parity = _ref_edges_even(g, s, members), ODD
+    else:
+        out_t = {v: [w for (u, w) in t.edges if u == v] for v in members}
+        edges, parity = _ref_edges_odd(g, out_t, members), EVEN
+    assert edges is not None and frozenset(edges) == got.counterexample
+    assert _ref_strongly_connected(members, edges)
+    assert max(g.priority[v] for v in members) % 2 == parity
+
+
+def _differential(games):
     found = {"strategy": 0, "template": 0}
     for _seed, _alpha, g in games:
         for w_even, w_odd, s, t in _claims(g):
-            got = _outcome(certify_even_strategy(g, s, max_edges=max_edges))
-            assert got == _ref_strategy(g, s, max_edges)
-            found["strategy"] += got[2] is not None
-            got = _outcome(certify_odd_template(g, t, max_edges=max_edges))
-            assert got == _ref_template(g, t, max_edges)
-            found["template"] += got[2] is not None
-            got = _outcome(certify_partition(g, w_even, w_odd, s, t, max_edges=max_edges))
-            assert got == _ref_partition(g, w_even, w_odd, s, t, max_edges)
+            ref = _ref_strategy(g, s)
+            _check_verdict(g, s, t, certify_even_strategy(g, s), ref)
+            found["strategy"] += ref[2] is not None
+            ref = _ref_template(g, t)
+            _check_verdict(g, s, t, certify_odd_template(g, t), ref)
+            found["template"] += ref[2] is not None
+            ref = _ref_partition(g, w_even, w_odd, s, t)
+            _check_verdict(g, s, t, certify_partition(g, w_even, w_odd, s, t), ref)
     return found
 
 
-def _over_default_bound(g):
-    return any(
-        "too_large" in (certify_even_strategy(g, s).status, certify_odd_template(g, t).status)
-        for _w_even, _w_odd, s, t in _claims(g)
-    )
+def _over_20_edges(g):
+    def strategy_edges(s):
+        return len(s.choice) + sum(len(set(g.succ[v])) for v in s.vertices if g.owner[v] == ODD)
+
+    return any(len(t.edges) > 20 or strategy_edges(s) > 20 for _w_even, _w_odd, s, t in _claims(g))
 
 
-def test_bit_mask_search_matches_set_based_reference():
-    found = _differential(small_games(600, max_n=8, start_seed=9100), DEFAULT_MAX_EDGES)
+def test_scc_search_matches_set_based_reference():
+    found = _differential(small_games(600, max_n=8, start_seed=9100))
     assert found["strategy"] >= 100 and found["template"] >= 30, found
 
 
-def test_bit_mask_search_matches_reference_under_a_raised_bound():
-    # denser 6-10 vertex games; keep those with a claim over the default bound
+def test_scc_search_matches_reference_over_20_edges():
+    # denser 6-10 vertex games; keep those with a claim over 20 edges
     games = []
     for seed in range(9700, 10300):
         base = random_game(6 + seed % 5, 1 + seed % 5, seed, min_degree=2)
         g = mutate_liveness(base, (0, 30, 50, 80, 100)[seed % 5], seed)
-        if _over_default_bound(g):
+        if _over_20_edges(g):
             games.append((seed, None, g))
     assert len(games) >= 40
-    found = _differential(games, 24)
+    found = _differential(games)
     assert found["strategy"] >= 5, found

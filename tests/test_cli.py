@@ -11,7 +11,7 @@ from fairgame.bench import CSV_HEADER, SOLVER_TAGS, run_instance, solve_instance
 from fairgame.cli import main
 from fairgame.pgfile import mutate_liveness, parse_game, random_game, write_game
 
-from conftest import make_ex1, make_g3
+from conftest import REDIRECT_GAME, make_ex1, make_g3, redirect_one_even_choice
 
 
 @pytest.fixture()
@@ -57,9 +57,25 @@ def test_solve_certify_ok(ex1_file, capsys):
     assert "both regions certified" in capsys.readouterr().out
 
 
-def test_solve_certify_refusal_is_exit_2(ex1_file, capsys):
-    assert main(["solve", ex1_file, "--certify", "--max-edges", "0"]) == 2
-    assert "bound" in capsys.readouterr().out
+def test_solve_certify_refusal_is_exit_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "redirect.gm"
+    path.write_text(REDIRECT_GAME)
+    redirect_one_even_choice(monkeypatch)
+    for argv in (["solve", str(path), "--certify"], ["check", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "a fair play against the strategy can stay on an odd-dominated cycle through 1"
+        )
+
+
+@pytest.mark.parametrize("algo", ["of-zl", "n-zl"])
+def test_certify_has_no_size_bound(tmp_path, capsys, algo):
+    path = tmp_path / "big.gm"
+    path.write_text(write_game(mutate_liveness(random_game(500, 5, 11), 50, 11)))
+    assert main(["solve", str(path), "--algo", algo, "--certify"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "both regions certified"
+    assert main(["check", str(path), "--algo", algo]) == 0
+    assert capsys.readouterr().out == "both regions certified\n"
 
 
 def test_solve_missing_file(tmp_path, capsys):
@@ -115,7 +131,6 @@ def test_timeout_nan_is_refused(ex1_file, tmp_path, capsys, command):
 def test_check_command(ex1_file, capsys):
     assert main(["check", ex1_file]) == 0
     assert "certified" in capsys.readouterr().out
-    assert main(["check", ex1_file, "--max-edges", "0"]) == 2
 
 
 def test_mutate_determinism(ex1_file, tmp_path, monkeypatch, capsys):
