@@ -11,9 +11,11 @@ solver is its dual. Passing use_live=False empties the live-edge operators,
 which yields the classical (fairness-free) winning regions.
 
 A solve can record, per vertex, the iteration index at which the vertex first
-entered each mu variable during first-pass contexts. Those indices are the
-rank components used to build strategy templates: component order is
-outermost level first.
+entered each mu variable. The inner indices of a vertex come from the last
+pass of each enclosing nu variable, the one that confirms its fixed point,
+in the iteration of each enclosing mu variable where the vertex entered it.
+Those indices are the rank components used to build strategy templates:
+component order is outermost level first.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .game import EVEN, ODD, Deadline, Region, SubgameView, least_even_upperbound
-from .transformers import Kernels, kernels, np_to_region
+from .transformers import Kernels, np_to_region
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ class FpTrace:
     snapshots (optional) maps (variable name, iteration address) to the
     variable's value, e.g. ("Y2", (1, 0, 3)) is the third iterate of Y2 while
     Y4 has completed one iteration and X3 none. components (optional) holds
-    the recorded mu-entry indices per level, -1 where unset.
+    the recorded mu-entry indices per level; they are ranks on the region
+    only (-1 or a stale index elsewhere).
     """
 
     side: int
@@ -69,7 +72,7 @@ def _run(
     want_snapshots: bool,
     deadline: Optional[Deadline],
 ) -> Tuple[Region, FpTrace]:
-    K: Kernels = kernels(view, use_live)
+    K = Kernels(view, use_live)
     n = K.n
     active = K.active
     l = least_even_upperbound(view.game, view.active)
@@ -132,17 +135,6 @@ def _run(
                 out = out | t
         return out if out is not None else np.zeros(n, bool)
 
-    def record_mu(m: int, it: int, newval: np.ndarray) -> None:
-        # record only while every enclosing nu variable is on its first pass
-        if any(counters[kk] != 0 for kk in range(m + 1, l + 1, 2)):
-            return
-        cm = comp[m]
-        cm[newval & (cm < 0)] = it
-        dropped = active & ~newval
-        inner_start = 2 if side == ODD else 1
-        for m2 in range(inner_start, m, 2):
-            comp[m2][dropped] = -1
-
     def eval_level(k: int) -> np.ndarray:
         mu = is_mu(k)
         var[k] = np.zeros(n, bool) if mu else active.copy()
@@ -151,6 +143,11 @@ def _run(
         while True:
             if deadline is not None:
                 deadline.poll()
+            if not mu and comp is not None and k + 1 in comp:
+                # inner ranks come from the last pass; a vertex that the mu
+                # above has taken in keeps those of the pass that took it in
+                for m in range(k - 1, 0, -2):
+                    comp[m][comp[k + 1] < 0] = -1
             newval = eval_level(k - 1) if k > 1 else body()
             old = var[k]
             if mu:
@@ -161,9 +158,9 @@ def _run(
             if snaps is not None:
                 ctx = tuple(counters[kk] for kk in range(l, k, -1))
                 snaps[(_var_name(k), ctx + (it,))] = np_to_region(newval)
-            if mu and comp is not None:
-                record_mu(k, it, newval)
             changed = not np.array_equal(newval, old)
+            if mu and changed and comp is not None:
+                comp[k][newval & (comp[k] < 0)] = it
             var[k] = newval
             ver[k] += 1
             counters[k] = it

@@ -229,13 +229,14 @@ def validate(game: OddFairGame) -> Optional[str]:
     for v in range((game.n)):
         if len(game.succ[v]) == 0:
             return f"dead end at {v}"
-    succ_sets = [set(ws) for ws in game.succ]
+    sources = {u for (u, _) in game.live if 0 <= u < game.n}
+    succ = {u: set(game.succ[u]) for u in sources}
     for (u, w) in sorted(game.live):
         if not (0 <= u < game.n and 0 <= w < game.n):
             return f"live edge ({u}, {w}) references a nonexistent vertex"
         if game.owner[u] != ODD:
             return f"live edge source owned by Even at {u}"
-        if w not in succ_sets[u]:
+        if w not in succ[u]:
             return f"live edge ({u}, {w}) not in the edge set"
     return None
 
@@ -260,7 +261,7 @@ class SubgameView:
     expected to restrict only to traps.
     """
 
-    __slots__ = ("game", "active", "_kernels")
+    __slots__ = ("game", "active")
 
     def __init__(self, game: OddFairGame, active: Region):
         if active.n != game.n:
@@ -274,7 +275,6 @@ class SubgameView:
                 raise ValueError(f"restriction creates a dead end at {v}")
         self.game = game
         self.active = active
-        self._kernels = None
 
     @classmethod
     def full(cls, game: OddFairGame) -> "SubgameView":

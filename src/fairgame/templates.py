@@ -34,65 +34,55 @@ class EvenStrategy:
 
 
 def _scc_components(vertices: Iterable[int], adj: Dict[int, list]) -> list:
-    """Tarjan over an adjacency dict, iterative to keep recursion shallow."""
+    """Tarjan over an adjacency dict, iterative to keep recursion shallow.
+
+    A vertex is on the component stack exactly while it has a `low` entry.
+    """
     index: Dict[int, int] = {}
     low: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
     stack: list = []
     comps: list = []
-    counter = [0]
     for root in vertices:
         if root in index:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(adj.get(root, ())))]
         while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            neighbors = adj.get(v, ())
-            for i in range(pi, len(neighbors)):
-                w = neighbors[i]
+            v, succ = work[-1]
+            for w in succ:
                 if w not in index:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(adj.get(w, ()))))
                     break
-                if on_stack.get(w):
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if w in low and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        del low[w]
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return comps
 
 
 def _cycle_vertices(vset: set, edges: Iterable[Tuple[int, int]]) -> set:
     adj: Dict[int, list] = {}
-    eset = set()
     for (u, w) in edges:
         if u in vset and w in vset:
             adj.setdefault(u, []).append(w)
-            eset.add((u, w))
     out = set()
     for comp in _scc_components(sorted(vset), adj):
-        if len(comp) > 1:
+        if len(comp) > 1 or comp[0] in adj.get(comp[0], ()):
             out.update(comp)
-        elif (comp[0], comp[0]) in eset:
-            out.add(comp[0])
     return out
 
 
@@ -107,17 +97,16 @@ def close_live_cycles(
     vset = set(vertices)
     eset = set(edges)
     while True:
-        added = False
-        for v in _cycle_vertices(vset, eset):
-            if game.owner[v] != ODD:
-                continue
-            for w in game.live_succ[v]:
-                if w in vset and (v, w) not in eset:
-                    eset.add((v, w))
-                    added = True
-        if not added:
-            break
-    return frozenset(eset)
+        new = {
+            (v, w)
+            for v in _cycle_vertices(vset, eset)
+            if game.owner[v] == ODD
+            for w in game.live_succ[v]
+            if w in vset
+        } - eset
+        if not new:
+            return frozenset(eset)
+        eset |= new
 
 
 def build_rank_template(
@@ -147,13 +136,13 @@ def build_rank_template(
 
 def validate_odd_template(game: OddFairGame, t: OddTemplate) -> Optional[str]:
     """First shape violation of an Odd template, or None."""
-    succ_sets = [set(ws) for ws in game.succ]
     verts = list(t.vertices)
     region = set(verts)
+    succ = {v: set(game.succ[v]) for v in verts}
     for (u, w) in t.edges:
         if u not in region or w not in region:
             return f"template edge ({u}, {w}) leaves the region"
-        if w not in succ_sets[u]:
+        if w not in succ[u]:
             return f"template edge ({u}, {w}) is not a game edge"
     out: Dict[int, set] = {v: set() for v in verts}
     for (u, w) in t.edges:
@@ -161,9 +150,9 @@ def validate_odd_template(game: OddFairGame, t: OddTemplate) -> Optional[str]:
     on_cycle = _cycle_vertices(region, t.edges)
     for v in verts:
         if game.owner[v] == EVEN:
-            if not succ_sets[v] <= region:
+            if not succ[v] <= region:
                 return f"even vertex {v} has an edge leaving the region"
-            if out[v] != succ_sets[v]:
+            if out[v] != succ[v]:
                 return f"even vertex {v} does not keep all its edges"
         else:
             live = set(game.live_succ[v])
@@ -180,7 +169,6 @@ def validate_odd_template(game: OddFairGame, t: OddTemplate) -> Optional[str]:
 
 def validate_even_strategy(game: OddFairGame, s: EvenStrategy) -> Optional[str]:
     """First shape violation of an Even strategy, or None."""
-    succ_sets = [set(ws) for ws in game.succ]
     verts = list(s.vertices)
     region = set(verts)
     for v in verts:
@@ -188,12 +176,12 @@ def validate_even_strategy(game: OddFairGame, s: EvenStrategy) -> Optional[str]:
             if v not in s.choice:
                 return f"even vertex {v} has no chosen edge"
             w = s.choice[v]
-            if w not in succ_sets[v]:
+            if w not in game.succ[v]:
                 return f"chosen edge ({v}, {w}) is not a game edge"
             if w not in region:
                 return f"chosen edge ({v}, {w}) leaves the region"
         else:
-            if not succ_sets[v] <= region:
+            if not all(w in region for w in game.succ[v]):
                 return f"odd vertex {v} can leave the region"
     for v in s.choice:
         if game.owner[v] != EVEN or v not in region:

@@ -105,15 +105,6 @@ class Kernels:
         )
 
 
-def kernels(view: SubgameView, use_live: bool = True) -> Kernels:
-    if view._kernels is None:
-        view._kernels = {}
-    key = bool(use_live)
-    if key not in view._kernels:
-        view._kernels[key] = Kernels(view, use_live)
-    return view._kernels[key]
-
-
 def _check_operand(view: SubgameView, r: Region) -> np.ndarray:
     if not r.issubset(view.active):
         raise ValueError("operand is not a subset of the active set")
@@ -121,32 +112,32 @@ def _check_operand(view: SubgameView, r: Region) -> np.ndarray:
 
 
 def pre_exists(view: SubgameView, player: int, s: Region) -> Region:
-    return np_to_region(kernels(view).pre_exists(player, _check_operand(view, s)))
+    return np_to_region(Kernels(view).pre_exists(player, _check_operand(view, s)))
 
 
 def pre_forall(view: SubgameView, player: int, s: Region) -> Region:
-    return np_to_region(kernels(view).pre_forall(player, _check_operand(view, s)))
+    return np_to_region(Kernels(view).pre_forall(player, _check_operand(view, s)))
 
 
 def lpre_exists(view: SubgameView, s: Region) -> Region:
-    return np_to_region(kernels(view).lpre_exists(_check_operand(view, s)))
+    return np_to_region(Kernels(view).lpre_exists(_check_operand(view, s)))
 
 
 def lpre_forall(view: SubgameView, s: Region) -> Region:
-    return np_to_region(kernels(view).lpre_forall(_check_operand(view, s)))
+    return np_to_region(Kernels(view).lpre_forall(_check_operand(view, s)))
 
 
 def cpre(view: SubgameView, player: int, s: Region) -> Region:
-    return np_to_region(kernels(view).cpre(player, _check_operand(view, s)))
+    return np_to_region(Kernels(view).cpre(player, _check_operand(view, s)))
 
 
 def apre(view: SubgameView, s: Region, t: Region) -> Region:
     return np_to_region(
-        kernels(view).apre(_check_operand(view, s), _check_operand(view, t))
+        Kernels(view).apre(_check_operand(view, s), _check_operand(view, t))
     )
 
 
 def npre(view: SubgameView, s: Region, t: Region) -> Region:
     return np_to_region(
-        kernels(view).npre(_check_operand(view, s), _check_operand(view, t))
+        Kernels(view).npre(_check_operand(view, s), _check_operand(view, t))
     )

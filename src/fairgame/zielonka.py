@@ -46,7 +46,7 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .game import EVEN, ODD, Deadline, OddFairGame, Region, SubgameView
 from .templates import EvenStrategy, OddTemplate, close_live_cycles
-from .transformers import kernels, np_to_region, region_to_np
+from .transformers import Kernels, np_to_region, region_to_np
 
 
 @dataclass
@@ -271,7 +271,7 @@ def safe_reach_even_full(view: SubgameView, S: Region, R: Region) -> Region:
     """Even's exact reach of R through S under the fairness assumption."""
     if not R.issubset(S) or not S.issubset(view.active):
         raise ValueError("expected R subset of S subset of the active set")
-    K = kernels(view)
+    K = Kernels(view)
     s, r = region_to_np(S), region_to_np(R)
     import numpy as np
 

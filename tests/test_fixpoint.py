@@ -1,7 +1,11 @@
 import pytest
 
+from fairgame.bench import SOLVER_TAGS, solve_instance
+from fairgame.certify import certify_partition
+from fairgame.cli import _played_game
 from fairgame.game import EVEN, ODD, Region, SubgameView
 from fairgame.fixpoint import extract_ranks, m_set, solve_even_fp, solve_odd_fp
+from fairgame.pgfile import random_game
 
 from conftest import build_game, make_g3, small_games
 
@@ -68,27 +72,27 @@ def test_golden_ranks_and_m_set(ex1, ex1_view):
 
 def rank_oracle(trace):
     """Rank readout straight from snapshots: first mu iterate containing the
-    vertex, inside the context fixed by the outer components (nu counters 0)."""
-    mu_levels = sorted(trace.components, reverse=True)
-    all_levels = list(range(trace.l, 0, -1))
+    vertex, in the context fixed by the outer components (mu counters one
+    below them) and by the last pass of each enclosing nu variable, the pass
+    that confirms its fixed point."""
+    innermost = min(trace.components)
     out = {}
     for v in trace.region:
         comps = []
-        for m in mu_levels:
-            ctx = []
-            for k in all_levels:
-                if k <= m:
-                    break
-                ctx.append(comps[mu_levels.index(k)] - 1 if k in trace.components else 0)
+        ctx = ()
+        for k in range(trace.l, innermost - 1, -1):
+            name = f"{'Y' if k % 2 == 0 else 'X'}{k}"
+            if (name, ctx + (1,)) not in trace.snapshots:
+                return None  # context not materialized on this solve
             t = 1
-            while True:
-                key = (f"{'Y' if m % 2 == 0 else 'X'}{m}", tuple(ctx) + (t,))
-                if key not in trace.snapshots:
-                    return None  # context not materialized on this solve
-                if v in trace.snapshots[key]:
-                    comps.append(t)
-                    break
-                t += 1
+            if k in trace.components:
+                while v not in trace.snapshots[(name, ctx + (t,))]:
+                    t += 1
+                comps.append(t)
+            else:
+                while (name, ctx + (t + 1,)) in trace.snapshots:
+                    t += 1
+            ctx += (t - 1,)
         out[v] = tuple(comps)
     return out
 
@@ -222,10 +226,11 @@ def test_per_level_witnesses_on_traced_solves():
     assert checked_vertices >= 500
 
 
-def test_plain_rank_comparison_is_weaker_than_witnesses():
-    # vertex 4 re-enters level 2 under a larger outer counter than all of its
-    # successors, so no truncated rank comparison can justify its moves; the
-    # snapshot witnesses still can
+def test_plain_rank_comparison_justifies_a_reentering_vertex():
+    # on the first pass of the nu variable X3, vertex 4 enters Y2 through
+    # vertex 1, which X3 then drops; its ranks come from the last pass, where
+    # it enters Y2 one iterate later, so the plain truncated rank comparison
+    # justifies its moves, and the snapshot witnesses do too
     g = build_game(
         (0, 1, 1, 0, 1, 1, 1, 1),
         (4, 3, 1, 3, 1, 2, 2, 4),
@@ -236,13 +241,41 @@ def test_plain_rank_comparison_is_weaker_than_witnesses():
     w_odd, tr = solve_odd_fp(view, ranks=True, snapshots=True)
     assert set(w_odd) == set(range(8))
     ranks = extract_ranks(tr)
-    assert ranks[4].interleaved() == (1, 0, 1, 0)
+    assert ranks[4].interleaved() == (1, 0, 2, 0)
     bound = tr.l + 1 - g.priority[4]
-    assert not any(rank_ge(ranks[4], ranks[w], bound) for w in g.succ[4])
+    assert any(rank_ge(ranks[4], ranks[w], bound) for w in g.succ[4])
     for v in range(8):
         wset = level_witnesses(tr, ranks, v, g.priority[v])
         picks = [w in wset for w in g.succ[v]]
         assert all(picks) if g.owner[v] == EVEN else any(picks)
+
+
+def test_ranks_are_a_progress_measure_and_artifacts_certify():
+    # both fixed games got an even-dominated template under of-fp and n-fp:
+    # the first while ranks were read on the first pass of each enclosing nu,
+    # the second while a later iteration of an outer mu could still reset the
+    # inner ranks of a vertex it had already taken in
+    fixed = [random_game(12, 3, 127), random_game(12, 7, 7401)]
+    games = fixed + [g for _s, _a, g in small_games(1500, max_n=9)]
+    measured = 0
+    for g in games:
+        for algo in SOLVER_TAGS:
+            played = _played_game(g, algo)
+            w_even, w_odd, template, strategy, tr = solve_instance(played, algo, None, True)
+            res = certify_partition(played, w_even, w_odd, strategy, template)
+            assert res.certified, (algo, res.detail)
+            if algo != "n-fp" or not w_odd:
+                continue
+            # Jurdzinski's condition on the live-free game, ranks cut below each level
+            ranks = extract_ranks(tr)
+            win = set(w_odd)
+            for v in win:
+                bound = tr.l + 1 - played.level[v]
+                cmp = rank_gt if played.level[v] % 2 == 0 else rank_ge
+                picks = [w in win and cmp(ranks[v], ranks[w], bound) for w in played.succ[v]]
+                assert all(picks) if played.owner[v] == EVEN else any(picks), (v, ranks[v])
+            measured += 1
+    assert measured >= 1000
 
 
 def test_m_set_matches_all_ones_ranks():

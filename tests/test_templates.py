@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fairgame.game import EVEN, ODD, Region, SubgameView
@@ -6,6 +8,7 @@ from fairgame.certify import certify_partition
 from fairgame.templates import (
     EvenStrategy,
     OddTemplate,
+    _scc_components,
     build_rank_template,
     close_live_cycles,
     extract_even_strategy,
@@ -70,6 +73,53 @@ def test_close_live_cycles_fixpoint():
     region = Region.of(4, {0, 1, 2})
     closed = close_live_cycles(g, region, {(0, 1), (1, 0), (2, 0)})
     assert set(closed) == {(0, 1), (1, 0), (2, 0), (0, 2)}
+
+
+def reference_sccs(vertices, adj):
+    """Textbook recursive Tarjan (SIAM J. Comput. 1972) over the same inputs."""
+    index, low, on_stack, stack, comps = {}, {}, set(), [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in adj.get(v, ()):
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            comps.append(comp)
+
+    for v in vertices:
+        if v not in index:
+            visit(v)
+    return comps
+
+
+def test_scc_components_match_recursive_tarjan():
+    # components, their order and their member order feed the certifier's witness
+    rng = random.Random(1972)
+    for _ in range(2000):
+        n = rng.randint(1, 30)
+        adj = {}
+        for v in range(n):
+            if rng.random() < 0.1:
+                continue  # a vertex with no adj entry
+            adj[v] = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.2:
+                adj[v].append(v)
+        roots = list(range(n))
+        rng.shuffle(roots)
+        assert _scc_components(roots, adj) == reference_sccs(roots, adj)
 
 
 def test_template_validator_rejections(ex1, ex1_view):
