@@ -9,11 +9,30 @@ keeps their order and parity.
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 EVEN = 0
 ODD = 1
+
+
+@contextmanager
+def gc_paused():
+    """Run the block with the cyclic collector off, then restore the caller's state.
+
+    Building a game makes several acyclic containers per vertex and no
+    cycles, so the collections they would set off find nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class SolverTimeout(Exception):
@@ -144,37 +163,45 @@ class OddFairGame:
         n = len(owners)
         if not (len(priorities) == len(successors) == n):
             raise ValueError("owners, priorities, successors must have equal length")
-        if any(p < 0 for p in priorities):
-            raise ValueError("priorities must be non-negative")
-        if any(o not in (EVEN, ODD) for o in owners):
-            raise ValueError("owner must be 0 (Even) or 1 (Odd)")
-        self.n = n
-        self.owner = tuple(owners)
-        self.original_priority = tuple(priorities)
-        self.shift = 2 if any(p == 0 for p in priorities) else 0
-        self.priority = tuple(p + self.shift for p in priorities)
-        self.level = _dense_levels(self.priority)
-        self.succ = tuple(tuple(ws) for ws in successors)
-        self.live = frozenset((u, w) for (u, w) in live_edges)
-        by_source = {}
-        for u, w in self.live:
-            by_source.setdefault(u, []).append(w)
-        self.live_succ = tuple(sorted(by_source[v]) if v in by_source else [] for v in range(n))
-        self.names = tuple(names) if names is not None else (None,) * n
-        self.original_ids = tuple(original_ids) if original_ids is not None else tuple(range(n))
-        pred = [[] for _ in range(n)]
-        for v in range(n):
-            for w in self.succ[v]:
-                if not 0 <= w < n:
-                    raise ValueError(f"successor {w} of vertex {v} out of range")
-                pred[w].append(v)
-        self.pred = tuple(tuple(ps) for ps in pred)
-        live_pred = [[] for _ in range(n)]
-        for v in range(n):
-            for w in self.live_succ[v]:
-                if 0 <= w < n:
-                    live_pred[w].append(v)
-        self.live_pred = tuple(tuple(ps) for ps in live_pred)
+        with gc_paused():
+            self.original_priority = tuple(priorities)
+            if min(self.original_priority, default=0) < 0:
+                raise ValueError("priorities must be non-negative")
+            self.owner = tuple(owners)
+            if self.owner.count(EVEN) + self.owner.count(ODD) != n:
+                raise ValueError("owner must be 0 (Even) or 1 (Odd)")
+            self.n = n
+            self.shift = 2 if 0 in self.original_priority else 0
+            self.priority = (
+                tuple(p + self.shift for p in priorities) if self.shift else self.original_priority
+            )
+            self.level = _dense_levels(self.priority)
+            self.succ = tuple(map(tuple, successors))
+            self.live = frozenset((u, w) for (u, w) in live_edges)
+            by_source, by_target = {}, {}
+            for u, w in sorted(self.live):
+                if 0 <= u < n:
+                    by_source.setdefault(u, []).append(w)
+                    if 0 <= w < n:
+                        by_target.setdefault(w, []).append(u)
+            # vertices without live edges share one empty list and the empty tuple
+            live_succ, live_pred = [[]] * n, [()] * n
+            for u, ws in by_source.items():
+                live_succ[u] = ws
+            for w, us in by_target.items():
+                live_pred[w] = tuple(us)
+            self.live_succ, self.live_pred = tuple(live_succ), tuple(live_pred)
+            self.names = tuple(names) if names is not None else (None,) * n
+            self.original_ids = tuple(original_ids) if original_ids is not None else tuple(range(n))
+            edges = chain.from_iterable
+            if min(edges(self.succ), default=0) < 0 or max(edges(self.succ), default=-1) >= n:
+                v, w = next((v, w) for v, ws in enumerate(self.succ) for w in ws if not 0 <= w < n)
+                raise ValueError(f"successor {w} of vertex {v} out of range")
+            pred = [[] for _ in range(n)]
+            for v, ws in enumerate(self.succ):
+                for w in ws:
+                    pred[w].append(v)
+            self.pred = tuple(map(tuple, pred))
         self._arrays = None
 
     # -- structural queries ------------------------------------------------
@@ -221,7 +248,7 @@ def _dense_levels(priority: Tuple[int, ...]) -> Tuple[int, ...]:
     for p in sorted(set(priority)):
         last += 1 if (last + 1) % 2 == p % 2 else 2
         image[p] = last
-    return tuple(image[p] for p in priority)
+    return tuple(map(image.__getitem__, priority))
 
 
 def validate(game: OddFairGame) -> Optional[str]:

@@ -7,16 +7,19 @@ Grammar, whitespace tolerant, no comments:
     live <src> <dst>;                     (zero or more, after node records)
 
 Owner 0 is Even, 1 is Odd. Input ids are remapped to dense 0-based ids in
-ascending id order; originals are kept on the game for output.
+ascending id order; ids that are already 0..n-1 in file order (as
+`write_game` writes them) are kept as they are. Originals are kept on the
+game for output.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 from typing import Optional
 
-from .game import ODD, OddFairGame
+from .game import ODD, OddFairGame, gc_paused
 from .rng import SplitMix64, derive_seed
 
 
@@ -26,8 +29,11 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_NODE_RE = re.compile(
-    r"^(\d+)\s+(\d+)\s+([01])\s+(\d+(?:\s*,\s*\d+)*)(?:\s+\"([^\"]*)\")?$"
+# One node record with its surrounding whitespace and ';'. A line matches iff
+# it strips to `stmt;` with `stmt` a node record, so only lines that fail it
+# (blank, header, `live`, or an error) take the statement-by-statement path.
+_NODE_LINE = re.compile(
+    r"\s*(\d+)\s+(\d+)\s+([01])\s+(\d+(?:\s*,\s*\d+)*)(?:\s+\"([^\"]*)\")?\s*;\s*"
 )
 
 
@@ -35,59 +41,77 @@ def parse_game(text) -> OddFairGame:
     """Parse a game; raises ParseError with a line number on any defect."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    records = {}  # original id -> (priority, owner, succ original ids, name, line)
+    with gc_paused():
+        return _parse(text)
+
+
+def _parse(text: str) -> OddFairGame:
+    # one column per field, in file order; priorities and owners stay digit strings until the end
+    ids, priorities, owners, successors, names = [], [], [], [], []
     live_records = []  # (src, dst, line)
+    seen = None  # the ids so far, once they stop being 0, 1, 2, ... in file order
     seen_header = False
-    seen_record = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    match = _NODE_LINE.fullmatch
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        m = match(line)
+        if m is not None:
+            vid, pri, owner, succ, name = m.groups()
+            vid = int(vid)
+            if seen is None and vid != len(ids):
+                seen = set(ids)
+            if seen is not None:
+                if vid in seen:
+                    raise ParseError(f"duplicate vertex id {vid}", lineno)
+                seen.add(vid)
+            ids.append(vid)
+            priorities.append(pri)
+            owners.append(owner)
+            successors.append(tuple(map(int, succ.split(","))))
+            names.append(name)
+            continue
+        line = line.strip()
         if not line:
             continue
         if not line.endswith(";"):
             raise ParseError("missing ';'", lineno)
         stmt = line[:-1].strip()
         if stmt.startswith("parity"):
-            if seen_header or seen_record:
+            if seen_header or ids:
                 raise ParseError("unexpected 'parity' header", lineno)
-            rest = stmt[len("parity"):].strip()
-            if not rest.isdecimal():
+            if not stmt[len("parity"):].strip().isdecimal():
                 raise ParseError("malformed 'parity' header", lineno)
             seen_header = True
-            continue
-        if stmt.startswith("live"):
+        elif stmt.startswith("live"):
             parts = stmt[len("live"):].split()
             if len(parts) != 2 or not all(p.isdecimal() for p in parts):
                 raise ParseError("malformed 'live' line", lineno)
             live_records.append((int(parts[0]), int(parts[1]), lineno))
-            continue
-        m = _NODE_RE.match(stmt)
-        if m is None:
+        else:
             raise ParseError("malformed node record", lineno)
-        vid = int(m.group(1))
-        if vid in records:
-            raise ParseError(f"duplicate vertex id {vid}", lineno)
-        succs = [int(s) for s in m.group(4).split(",")]
-        records[vid] = (int(m.group(2)), int(m.group(3)), succs, m.group(5), lineno)
-        seen_record = True
 
-    if not records:
+    if not ids:
         raise ParseError("no vertex records")
-    order = sorted(records)
-    index = {vid: i for i, vid in enumerate(order)}
-    owners, priorities, successors, names = [], [], [], []
-    for vid in order:
-        pri, owner, succs, name, lineno = records[vid]
-        if not succs:
-            raise ParseError(f"dead end at {vid}", lineno)
-        dense = []
-        for s in succs:
-            if s not in index:
-                raise ParseError(f"successor {s} of {vid} does not exist", lineno)
-            dense.append(index[s])
-        owners.append(owner)
-        priorities.append(pri)
-        successors.append(dense)
-        names.append(name)
+    n = len(ids)
+    priorities, owners = list(map(int, priorities)), list(map(int, owners))
+    if seen is None:  # dense and ordered: ids are already the indices
+        index = range(n)
+        if max(chain.from_iterable(successors)) >= n:
+            vid, s = next((v, s) for v, ws in enumerate(successors) for s in ws if s >= n)
+            raise ParseError(f"successor {s} of {vid} does not exist", _record_line(text, vid))
+    else:  # remap to dense ids in ascending id order
+        perm = sorted(range(n), key=ids.__getitem__)
+        ids = [ids[p] for p in perm]
+        index = dict(zip(ids, range(n)))
+        remapped = []
+        for vid, p in zip(ids, perm):
+            try:
+                remapped.append(tuple(map(index.__getitem__, successors[p])))
+            except KeyError as exc:
+                raise ParseError(
+                    f"successor {exc.args[0]} of {vid} does not exist", _record_line(text, vid)
+                ) from None
+        successors = remapped
+        priorities, owners, names = ([col[p] for p in perm] for col in (priorities, owners, names))
     live = []
     for src, dst, lineno in live_records:
         if src not in index:
@@ -95,12 +119,20 @@ def parse_game(text) -> OddFairGame:
         if dst not in index:
             raise ParseError(f"live edge references nonexistent target {dst}", lineno)
         u, w = index[src], index[dst]
-        if records[src][1] != ODD:
+        if owners[u] != ODD:
             raise ParseError(f"live edge source owned by Even at {src}", lineno)
         if w not in successors[u]:
             raise ParseError(f"live edge ({src}, {dst}) not in the edge set", lineno)
         live.append((u, w))
-    return OddFairGame(owners, priorities, successors, live, names, order)
+    return OddFairGame(owners, priorities, successors, live, names, ids)
+
+
+def _record_line(text: str, vid: int) -> int:
+    """The line of the node record of `vid`; only read on the way to an error."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        m = _NODE_LINE.fullmatch(line)
+        if m is not None and int(m.group(1)) == vid:
+            return lineno
 
 
 def write_game(game: OddFairGame) -> str:

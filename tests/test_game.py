@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from fairgame.game import (
     priority_class,
     validate,
 )
-from fairgame.pgfile import mutate_liveness, random_game
+from fairgame import game as game_module
+from fairgame.pgfile import ParseError, mutate_liveness, parse_game, random_game
 
 from conftest import build_game, small_games
 
@@ -51,6 +53,50 @@ def test_constructor_rejects_bad_input():
         build_game([2], [1], [[0]])
     with pytest.raises(ValueError):
         build_game([0], [-1], [[0]])
+
+
+@pytest.mark.parametrize(
+    "owners, priorities, succ, message",
+    [
+        ([0, 1], [1], [[1], [0]], "owners, priorities, successors must have equal length"),
+        ([0, 1], [1, -1], [[1], [0]], "priorities must be non-negative"),
+        ([0, 2], [1, 2], [[1], [0]], "owner must be 0 (Even) or 1 (Odd)"),
+        ([0, 1], [1, 2], [[1], [0, 2]], "successor 2 of vertex 1 out of range"),
+        ([0, 1], [1, 2], [[1], [-1, 0]], "successor -1 of vertex 1 out of range"),
+        ([0, 1], [1, 2], [[0, -2], [5]], "successor -2 of vertex 0 out of range"),
+        ([0, 1], [1, 2], [[7], [-1]], "successor 7 of vertex 0 out of range"),
+    ],
+)
+def test_constructor_names_the_first_violated_check(owners, priorities, succ, message):
+    with pytest.raises(ValueError) as exc:
+        OddFairGame(owners, priorities, succ)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_building_a_game_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    states = []
+    levels = game_module._dense_levels
+    monkeypatch.setattr(game_module, "_dense_levels", lambda p: states.append(gc.isenabled()) or levels(p))
+    builds = [
+        (lambda: parse_game("0 1 0 0;\n"), None),
+        (lambda: parse_game("0 1 0 1;\n"), ParseError),
+        (lambda: OddFairGame([0], [1], [[0]]), None),
+        (lambda: OddFairGame([0], [1], [[1]]), ValueError),
+    ]
+    was = gc.isenabled()
+    try:
+        for build, error in builds:
+            gc.enable() if enabled else gc.disable()
+            if error is None:
+                build()
+            else:
+                with pytest.raises(error):
+                    build()
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert states == [False, False, False]  # each game that got that far was built with it off
 
 
 def test_validate_reports_defects():

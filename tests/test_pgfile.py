@@ -1,3 +1,7 @@
+import random
+import re
+from collections import Counter
+
 import pytest
 
 from fairgame.game import ODD, OddFairGame, validate
@@ -191,3 +195,190 @@ def test_mutated_games_roundtrip_through_the_format():
     g = parse_game(text)
     assert g.live == m.live
     assert write_game(g) == text
+
+
+_REFERENCE_NODE_RE = re.compile(
+    r"^(\d+)\s+(\d+)\s+([01])\s+(\d+(?:\s*,\s*\d+)*)(?:\s+\"([^\"]*)\")?$"
+)
+
+
+def reference_parse_game(text) -> OddFairGame:
+    """parse_game as first written: a records dict of 5-tuples, then a second pass in id order."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    records = {}  # original id -> (priority, owner, succ original ids, name, line)
+    live_records = []  # (src, dst, line)
+    seen_header = False
+    seen_record = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.endswith(";"):
+            raise ParseError("missing ';'", lineno)
+        stmt = line[:-1].strip()
+        if stmt.startswith("parity"):
+            if seen_header or seen_record:
+                raise ParseError("unexpected 'parity' header", lineno)
+            rest = stmt[len("parity"):].strip()
+            if not rest.isdecimal():
+                raise ParseError("malformed 'parity' header", lineno)
+            seen_header = True
+            continue
+        if stmt.startswith("live"):
+            parts = stmt[len("live"):].split()
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                raise ParseError("malformed 'live' line", lineno)
+            live_records.append((int(parts[0]), int(parts[1]), lineno))
+            continue
+        m = _REFERENCE_NODE_RE.match(stmt)
+        if m is None:
+            raise ParseError("malformed node record", lineno)
+        vid = int(m.group(1))
+        if vid in records:
+            raise ParseError(f"duplicate vertex id {vid}", lineno)
+        succs = [int(s) for s in m.group(4).split(",")]
+        records[vid] = (int(m.group(2)), int(m.group(3)), succs, m.group(5), lineno)
+        seen_record = True
+
+    if not records:
+        raise ParseError("no vertex records")
+    order = sorted(records)
+    index = {vid: i for i, vid in enumerate(order)}
+    owners, priorities, successors, names = [], [], [], []
+    for vid in order:
+        pri, owner, succs, name, lineno = records[vid]
+        if not succs:
+            raise ParseError(f"dead end at {vid}", lineno)
+        dense = []
+        for s in succs:
+            if s not in index:
+                raise ParseError(f"successor {s} of {vid} does not exist", lineno)
+            dense.append(index[s])
+        owners.append(owner)
+        priorities.append(pri)
+        successors.append(dense)
+        names.append(name)
+    live = []
+    for src, dst, lineno in live_records:
+        if src not in index:
+            raise ParseError(f"live edge references nonexistent source {src}", lineno)
+        if dst not in index:
+            raise ParseError(f"live edge references nonexistent target {dst}", lineno)
+        u, w = index[src], index[dst]
+        if records[src][1] != ODD:
+            raise ParseError(f"live edge source owned by Even at {src}", lineno)
+        if w not in successors[u]:
+            raise ParseError(f"live edge ({src}, {dst}) not in the edge set", lineno)
+        live.append((u, w))
+    return OddFairGame(owners, priorities, successors, live, names, order)
+
+
+# Arabic-Indic and fullwidth digits are decimal to both int() and the grammar's \d
+_DIGITS = [str.maketrans("0123456789", "".join(chr(z + i) for i in range(10))) for z in (0x660, 0xFF10)]
+_GAPS = [" ", " ", "  ", "\t", " \t", "\u00a0", "\u3000"]
+_COMMAS = [",", ",", " ,", ", ", " , ", "\t,\t"]
+_CORRUPTIONS = ["drop-semicolon", "duplicate-id", "dangling", "owner-2", "live-from-even",
+                "live-not-an-edge", "live-missing-vertex", "header-after-records", "empty"]
+
+
+def _random_game_text(rng, corruptions=()):
+    """A seeded game text in a varied layout, with the named defects put in."""
+    n = rng.randint(2 if "duplicate-id" in corruptions else 1, 9)
+    layout = rng.choice(["dense", "sparse", "shuffled"])
+    ids = list(range(n)) if layout == "dense" else rng.sample(range(3 * n + 5), n)
+    if layout == "sparse":
+        ids.sort()
+    owner = {v: rng.randint(0, 1) for v in ids}
+    succ = {v: rng.choices(ids, k=rng.randint(1, 3)) for v in ids}
+    live = [(u, w) for u in ids if owner[u] == 1 for w in sorted(set(succ[u])) if rng.random() < 0.4]
+    names = {v: "".join(rng.choices("ab ;:-x", k=rng.randint(0, 5))) if rng.random() < 0.3 else None for v in ids}
+    records = {v: [v, rng.choice([0, 1, 2, 3, 4, 5, 8, 13]), owner[v], succ[v], names[v]] for v in ids}
+    header = rng.random() < 0.6
+    header_late = False
+    missing = max(ids) + 1 + rng.randint(0, 3)
+    for kind in corruptions:
+        u = rng.choice(ids)
+        if kind == "duplicate-id":
+            records[u][0] = rng.choice([v for v in ids if v != u])
+        elif kind == "dangling":  # on up to three vertices, up to two per list
+            for v in rng.sample(ids, min(n, rng.randint(1, 3))):
+                for extra in range(rng.randint(1, 2)):
+                    ws = records[v][3] = list(records[v][3])
+                    ws.insert(rng.randint(0, len(ws)), missing + extra)
+        elif kind == "owner-2":
+            records[u][2] = 2
+        elif kind == "live-from-even":
+            records[u][2] = 0
+            live.insert(rng.randint(0, len(live)), (u, rng.choice(succ[u])))
+        elif kind == "live-not-an-edge":
+            others = [w for w in ids if w not in succ[u]]
+            live.insert(rng.randint(0, len(live)), (u, rng.choice(others) if others else missing))
+        elif kind == "live-missing-vertex":
+            live.insert(rng.randint(0, len(live)), rng.choice([(missing, u), (u, missing)]))
+        elif kind == "header-after-records":
+            header = header_late = True
+
+    tr = rng.choice([None, None] + _DIGITS)
+
+    def num(k):
+        s = ("0" if rng.random() < 0.05 else "") + str(k)
+        return s.translate(tr) if tr is not None and rng.random() < 0.5 else s
+
+    def gap(empty_ok=False):
+        return "" if empty_ok and rng.random() < 0.5 else rng.choice(_GAPS)
+
+    def record_line(vid, pri, own, ws, name):
+        line = gap(True) + num(vid) + gap() + num(pri) + gap() + str(own) + gap()
+        line += "".join((rng.choice(_COMMAS) if i else "") + num(w) for i, w in enumerate(ws))
+        if name is not None:
+            line += gap() + f'"{name}"'
+        return line + gap(True) + ";" + gap(True)
+
+    body = [record_line(*records[v]) for v in ids]
+    if layout == "shuffled":
+        rng.shuffle(body)
+    lines = [f"live{gap(rng.random() < 0.1)}{num(u)}{gap()}{num(w)}{gap(True)};" for u, w in live]
+    k = rng.randint(0, len(lines))
+    lines = lines[:k] + body + lines[k:]  # live lines before and after the records
+    head = f"parity{gap()}{num(max(ids) + rng.randint(0, 2))};"
+    if header_late:
+        lines.insert(k + rng.randint(1, len(body)), head)
+    elif header:
+        lines.insert(rng.randint(0, k), head)
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", "  ", "\t"]))
+    if "drop-semicolon" in corruptions:
+        i = rng.choice([i for i, line in enumerate(lines) if line.strip()])
+        lines[i] = "".join(lines[i].rsplit(";", 1))
+    if "empty" in corruptions:
+        lines = [rng.choice(["", " ", "\t"]) for _ in range(rng.randint(0, 3))]
+    eol = rng.choice(["\n", "\n", "\r\n", "\r"])
+    return eol.join(lines) + (eol if rng.random() < 0.8 else "")
+
+
+def _fields(game):
+    return (game.owner, game.original_priority, game.succ, game.live, game.names,
+            game.original_ids, game.level, write_game(game))
+
+
+def test_parser_matches_reference_on_valid_texts():
+    rng = random.Random(1405)
+    for i in range(2000):
+        text = _random_game_text(rng)
+        assert _fields(parse_game(text)) == _fields(reference_parse_game(text)), (i, text)
+
+
+def test_parser_reports_the_reference_first_error_on_corrupted_texts():
+    rng = random.Random(2807)
+    kinds = Counter()
+    for i in range(2000):
+        corruptions = rng.sample(_CORRUPTIONS, rng.choice([1, 1, 2, 3]))
+        text = _random_game_text(rng, corruptions)
+        with pytest.raises(ParseError) as expected:
+            reference_parse_game(text)
+        with pytest.raises(ParseError) as got:
+            parse_game(text)
+        assert (got.value.line, str(got.value)) == (expected.value.line, str(expected.value)), (i, text)
+        kinds[re.sub(r"\d+", "#", str(expected.value).split(": ", 1)[-1])] += 1
+    assert len(kinds) == 10, kinds  # each defect, and each live-edge check, comes first somewhere
