@@ -16,11 +16,18 @@ pass of each enclosing nu variable, the one that confirms its fixed point,
 in the iteration of each enclosing mu variable where the vertex entered it.
 Those indices are the rank components used to build strategy templates:
 component order is outermost level first.
+
+Each iterate is counted once: `_run` keys what the terms read of a variable
+(the `cpre` of its edge count, then the live-edge operator of an X or the
+part of its term that a Y decides alone) by the variable's version, which
+moves at every reset and iterate. A reset value needs no count: no edge
+enters the empty set, and `Kernels.deg` edges enter the active set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -77,26 +84,27 @@ def _run(
     active = K.active
     l = least_even_upperbound(view.game, view.active)
     evens = list(range(2, l + 1, 2))
-    C = {i: active & (K.priority == i) for i in range(1, l + 1)}
-
+    pri = K.priority
+    C = {j: active & (pri == j) for j in evens}
+    # term j is base[j] | C[j] & cpre(side, Y_j) | rest[j] & op(Y_j, X_{j-1})
     if side == ODD:
-        above: Dict[int, np.ndarray] = {}
-        acc = np.zeros(n, bool)
-        for j in range(l, 0, -1):
-            above[j] = acc
-            acc = acc | C[j]
-        not_c = {j: active & ~C[j] for j in evens}
+        base = {j: active & (pri > j) for j in evens}
+        rest = {j: active & (pri != j) for j in evens}
+        op, join = K.npre_of, np.logical_and
     else:
-        below: Dict[int, np.ndarray] = {}
-        acc = np.zeros(n, bool)
-        for j in range(1, l + 1):
-            below[j] = acc
-            acc = acc | C[j]
+        base = {j: np.zeros(n, bool) for j in evens}
+        rest = {j: active & (pri < j) for j in evens}
+        op, join = K.apre_of, np.logical_or
 
     var: Dict[int, np.ndarray] = {}
     ver: Dict[int, int] = {k: 0 for k in range(1, l + 1)}
     counters: Dict[int, int] = {k: 0 for k in range(1, l + 1)}
+    parts: Dict[int, tuple] = {}  # k -> (ver[k], ...), see part()
     memo: Dict[int, tuple] = {}
+    live = K.lpre_forall if side == ODD else K.lpre_exists
+    # cpre_of and live of the reset values, the empty set (count_in zero) and the active set (K.deg)
+    start = {True: (K.cpre_of(side, np.zeros(n)), live(np.zeros(n, bool))),
+             False: (K.cpre_of(side, K.deg), live(active))}
 
     recorded = evens if side == ODD else list(range(1, l + 1, 2))
     comp: Optional[Dict[int, np.ndarray]] = None
@@ -106,39 +114,34 @@ def _run(
         {} if want_snapshots else None
     )
 
-    def is_mu(k: int) -> bool:
-        return (k % 2 == 0) == (side == ODD)
+    def part(k: int, reset: Optional[tuple] = None) -> tuple:
+        # (ver[k], cpre_of(side, count_in(var[k])), then live(var[k]) for an X
+        # or for a Y its own part of term k, which reads no X), once per
+        # iterate; reset holds cpre_of and live of a reset value
+        hit = parts.get(k)
+        if reset is None and hit[0] == ver[k]:
+            return hit
+        x = var[k]
+        p, lx = reset or (K.cpre_of(side, K.count_in(x)), live(x) if k % 2 else None)
+        parts[k] = (ver[k], p, lx if k % 2 else base[k] | (C[k] & p))
+        return parts[k]
 
     def term(j: int) -> np.ndarray:
         key = (ver[j], ver[j - 1])
         hit = memo.get(j)
         if hit is not None and hit[0] == key:
             return hit[1]
-        yj, xj1 = var[j], var[j - 1]
-        cy = K.count_in(yj)  # shared by both operators of the term
-        if side == ODD:
-            val = above[j] | (not_c[j] & K.npre_of(cy, xj1)) | (C[j] & K.cpre_of(ODD, cy))
-        else:
-            val = (C[j] & K.cpre_of(EVEN, cy)) | (below[j] & K.apre_of(cy, xj1))
+        _, py, own = part(j)
+        _, px, lx = part(j - 1)
+        val = own | (rest[j] & op(py, px, lx))
         memo[j] = (key, val)
         return val
 
-    def body() -> np.ndarray:
-        out = None
-        for j in evens:
-            t = term(j)
-            if out is None:
-                out = t
-            elif side == ODD:
-                out = out & t
-            else:
-                out = out | t
-        return out if out is not None else np.zeros(n, bool)
-
     def eval_level(k: int) -> np.ndarray:
-        mu = is_mu(k)
+        mu = (k % 2 == 0) == (side == ODD)
         var[k] = np.zeros(n, bool) if mu else active.copy()
         ver[k] += 1
+        part(k, start[mu])
         counters[k] = 0
         while True:
             if deadline is not None:
@@ -148,17 +151,17 @@ def _run(
                 # above has taken in keeps those of the pass that took it in
                 for m in range(k - 1, 0, -2):
                     comp[m][comp[k + 1] < 0] = -1
-            newval = eval_level(k - 1) if k > 1 else body()
-            old = var[k]
+            newval = eval_level(k - 1) if k > 1 else reduce(join, map(term, evens))
+            moved = newval ^ var[k]
             if mu:
-                assert not (old & ~newval).any(), "mu iterate shrank"
+                assert not (moved & var[k]).any(), "mu iterate shrank"
             else:
-                assert not (newval & ~old).any(), "nu iterate grew"
+                assert not (moved & newval).any(), "nu iterate grew"
             it = counters[k] + 1
             if snaps is not None:
                 ctx = tuple(counters[kk] for kk in range(l, k, -1))
                 snaps[(_var_name(k), ctx + (it,))] = np_to_region(newval)
-            changed = not np.array_equal(newval, old)
+            changed = moved.any()
             if mu and changed and comp is not None:
                 comp[k][newval & (comp[k] < 0)] = it
             var[k] = newval

@@ -66,7 +66,10 @@ def _parse(text: str) -> OddFairGame:
             ids.append(vid)
             priorities.append(pri)
             owners.append(owner)
-            successors.append(tuple(map(int, succ.split(","))))
+            try:
+                successors.append(tuple(map(int, succ.split(","))))
+            except ValueError:  # \s also matches U+001F, which int() does not strip
+                successors.append(tuple(int(piece.strip()) for piece in succ.split(",")))
             names.append(name)
             continue
         line = line.strip()

@@ -27,7 +27,8 @@ class Kernels:
     """Vectorized operators bound to one view (fixed active set).
 
     With use_live=False the live-edge operators see an empty live set, which
-    turns the fair operators into their classical counterparts.
+    turns the fair operators into their classical counterparts. A count
+    never exceeds `deg`, so `cpre` is one comparison of a count with `need`.
     """
 
     def __init__(self, view: SubgameView, use_live: bool = True):
@@ -41,19 +42,15 @@ class Kernels:
         self.esrc = esrc[keep]
         self.edst = edst[keep]
         self.deg = np.bincount(self.esrc, minlength=n).astype(np.float64)
-        if use_live and len(lsrc):
-            lkeep = self.active[lsrc] & self.active[ldst]
-            self.lsrc = lsrc[lkeep]
-            self.ldst = ldst[lkeep]
-        else:
-            self.lsrc = np.zeros(0, dtype=np.int64)
-            self.ldst = np.zeros(0, dtype=np.int64)
+        lkeep = self.active[lsrc] & self.active[ldst] if use_live else np.zeros(len(lsrc), bool)
+        self.lsrc, self.ldst = lsrc[lkeep], ldst[lkeep]
         self.ldeg = np.bincount(self.lsrc, minlength=n).astype(np.float64)
-        self.even_mask = self.active & (owner == EVEN)
-        self.odd_mask = self.active & (owner == ODD)
-
-    def mask_for(self, player: int) -> np.ndarray:
-        return self.even_mask if player == EVEN else self.odd_mask
+        self.mask = (self.active & (owner == EVEN), self.active & (owner == ODD))
+        # cpre(p, s) needs one edge into s at p's vertices and all of them at the opponent's
+        every = np.where(self.active, self.deg, np.inf)
+        self.need = tuple(np.where(mask, 1.0, every) for mask in self.mask)
+        # with no live edge, lpre_exists is empty and lpre_forall every Odd vertex
+        self.live_free = (np.zeros(n, bool), self.mask[ODD]) if len(self.lsrc) == 0 else None
 
     def count_in(self, s: np.ndarray) -> np.ndarray:
         if len(self.esrc) == 0:
@@ -61,48 +58,51 @@ class Kernels:
         return np.bincount(self.esrc, weights=s[self.edst], minlength=self.n)
 
     def live_count_in(self, s: np.ndarray) -> np.ndarray:
-        if len(self.lsrc) == 0:
-            return np.zeros(self.n)
         return np.bincount(self.lsrc, weights=s[self.ldst], minlength=self.n)
 
     # -- operator kernels (bool arrays in, bool arrays out) ----------------
 
     def pre_exists(self, player: int, s: np.ndarray) -> np.ndarray:
-        return (self.count_in(s) > 0) & self.mask_for(player)
+        return (self.count_in(s) > 0) & self.mask[player]
 
     def pre_forall(self, player: int, s: np.ndarray) -> np.ndarray:
-        return (self.count_in(s) == self.deg) & self.mask_for(player)
+        return (self.count_in(s) == self.deg) & self.mask[player]
 
     def lpre_exists(self, s: np.ndarray) -> np.ndarray:
-        return (self.live_count_in(s) > 0) & self.odd_mask
+        if self.live_free is not None:
+            return self.live_free[0]
+        return (self.live_count_in(s) > 0) & self.mask[ODD]
 
     def lpre_forall(self, s: np.ndarray) -> np.ndarray:
         # vacuously includes Odd vertices without live edges
-        return (self.live_count_in(s) == self.ldeg) & self.odd_mask
+        if self.live_free is not None:
+            return self.live_free[1]
+        return (self.live_count_in(s) == self.ldeg) & self.mask[ODD]
 
     def cpre(self, player: int, s: np.ndarray) -> np.ndarray:
         return self.cpre_of(player, self.count_in(s))
 
     def apre(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.apre_of(self.count_in(s), t)
+        return self.apre_of(self.cpre(EVEN, s), self.cpre(EVEN, t), self.lpre_exists(t))
 
     def npre(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.npre_of(self.count_in(s), t)
+        return self.npre_of(self.cpre(ODD, s), self.cpre(ODD, t), self.lpre_forall(t))
 
-    # -- the same operators over cs = count_in(s), so a caller can share it --
+    # -- the same operators over parts that a caller can keep per operand --
 
     def cpre_of(self, player: int, cs: np.ndarray) -> np.ndarray:
-        return ((cs > 0) & self.mask_for(player)) | (
-            (cs == self.deg) & self.mask_for(1 - player)
-        )
+        """cpre(player, s) from cs = count_in(s)."""
+        return cs >= self.need[player]
 
-    def apre_of(self, cs: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.cpre(EVEN, t) | (self.lpre_exists(t) & (cs == self.deg) & self.odd_mask)
+    def apre_of(self, ps: np.ndarray, pt: np.ndarray, lt: np.ndarray) -> np.ndarray:
+        """apre(s, t) from ps, pt = cpre(EVEN, s), cpre(EVEN, t) and lt = lpre_exists(t)."""
+        # lt lies in Odd's vertices, where ps is pre_forall(ODD, s)
+        return pt | (lt & ps)
 
-    def npre_of(self, cs: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.cpre(ODD, t) & (
-            self.even_mask | self.lpre_forall(t) | ((cs > 0) & self.odd_mask)
-        )
+    def npre_of(self, ps: np.ndarray, pt: np.ndarray, lt: np.ndarray) -> np.ndarray:
+        """npre(s, t) from ps, pt = cpre(ODD, s), cpre(ODD, t) and lt = lpre_forall(t)."""
+        # at Odd's vertices ps is pre_exists(ODD, s)
+        return pt & (self.mask[EVEN] | lt | ps)
 
 
 def _check_operand(view: SubgameView, r: Region) -> np.ndarray:

@@ -277,9 +277,10 @@ def safe_reach_even_full(view: SubgameView, S: Region, R: Region) -> Region:
 
     y = K.active.copy()
     while True:
+        py = K.cpre_of(EVEN, K.count_in(y))  # y is fixed while x grows
         x = np.zeros(K.n, bool)
         while True:
-            x2 = s & (r | K.apre(y, x))
+            x2 = s & (r | K.apre_of(py, K.cpre_of(EVEN, K.count_in(x)), K.lpre_exists(x)))
             if np.array_equal(x2, x):
                 break
             x = x2

@@ -37,6 +37,20 @@ def make_g3() -> OddFairGame:
     )
 
 
+def offset_ladder(k, dual, offset):
+    """benchmark/gen.ladder's k-rung ladder (or dual) with priorities raised by offset."""
+    n = 2 * k + 1
+    owners, pris, succs = [1] + [0] * (n - 1), [1] * n, [[0]] + [None] * (n - 1)
+    for i in range(1, k + 1):
+        a, t = 2 * i, 2 * i - 1
+        owners[t], pris[t] = 1, 2
+        succs[a], succs[t] = [t, a], [2 * (i - 1)]
+    if dual:
+        owners = [1 - o for o in owners]
+        pris = [p + 1 for p in pris]
+    return build_game(owners, [p + offset for p in pris], succs)
+
+
 def small_games(count, *, max_n=10, alphas=(0, 30, 50, 80, 100), start_seed=0):
     """Deterministic stream of (seed, alpha, game) smalls for oracle suites."""
     out = []

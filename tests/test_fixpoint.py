@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fairgame.bench import SOLVER_TAGS, solve_instance
@@ -5,9 +7,9 @@ from fairgame.certify import certify_partition
 from fairgame.cli import _played_game
 from fairgame.game import EVEN, ODD, Region, SubgameView
 from fairgame.fixpoint import extract_ranks, m_set, solve_even_fp, solve_odd_fp
-from fairgame.pgfile import random_game
+from fairgame.pgfile import mutate_liveness, random_game
 
-from conftest import build_game, make_g3, small_games
+from conftest import build_game, make_g3, offset_ladder, small_games
 
 EX1_W_ODD = ["1a", "2b", "2c", "3a", "3b", "4a"]
 
@@ -303,3 +305,41 @@ def test_ranks_require_recording(ex1_view):
     _, tr = solve_odd_fp(ex1_view, ranks=False)
     with pytest.raises(ValueError):
         extract_ranks(tr)
+
+
+def fp_trace_cases():
+    for _seed, _alpha, g in small_games(200, start_seed=8000):
+        yield g
+    # (n, priorities, seed), each at alpha 0, 50 and 100; of-fp is exponential
+    # in the level count, so seeds are picked for solves well under a second
+    for n, p, s in ((20, 5, 2), (40, 8, 3), (60, 6, 1), (120, 8, 3), (150, 5, 2), (200, 6, 3)):
+        for alpha in (0, 50, 100):
+            yield mutate_liveness(random_game(n, p, s), alpha, s)
+    for k in range(1, 13):
+        for dual in (False, True):
+            for offset in (0, 2, 4):
+                yield offset_ladder(k, dual, offset)
+
+
+def fp_trace_digest(cases):
+    h = hashlib.sha256()
+    for g in cases:
+        view = SubgameView.full(g)
+        for solve in (solve_odd_fp, solve_even_fp):
+            for use_live in (True, False):
+                _, tr = solve(view, use_live=use_live, ranks=True, snapshots=True)
+                h.update(repr((tr.region.mask, sorted(tr.counters.items()))).encode())
+                for m in sorted(tr.components):
+                    h.update(repr(m).encode() + tr.components[m].tobytes())
+                h.update(repr(sorted((key, r.mask) for key, r in tr.snapshots.items())).encode())
+    return h.hexdigest()
+
+
+# regions, counters, rank components and every iterate of both fixed-point
+# solvers, pinned; a change to this digest changes the solver's traces and
+# must be deliberate
+FP_TRACE_DIGEST = "69c519840b78b375a01692dd18758a462d01fda3de3929b32d02b7bdb01b1740"
+
+
+def test_traces_match_golden_digest():
+    assert fp_trace_digest(fp_trace_cases()) == FP_TRACE_DIGEST

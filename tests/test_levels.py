@@ -13,22 +13,7 @@ from fairgame.game import OddFairGame, SubgameView
 from fairgame.pgfile import write_game
 from fairgame.zielonka import solve_zielonka_fair, solve_zielonka_normal
 
-from conftest import build_game, small_games
-
-
-def offset_ladder(k, dual, offset):
-    """k-rung ladder (or its dual) with priorities raised by an even offset."""
-    n = 2 * k + 1
-    owners, pris, succs = [0] * n, [0] * n, [None] * n
-    owners[0], pris[0], succs[0] = 1, 1, [0]
-    for i in range(1, k + 1):
-        a, t = 2 * i, 2 * i - 1
-        owners[a], pris[a], succs[a] = 0, 1, [t, a]
-        owners[t], pris[t], succs[t] = 1, 2, [2 * (i - 1)]
-    if dual:
-        owners = [1 - o for o in owners]
-        pris = [p + 1 for p in pris]
-    return build_game(owners, [p + offset for p in pris], succs)
+from conftest import offset_ladder, small_games
 
 
 def corpus():

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from fairgame.cli import main
 from fairgame.game import ODD, OddFairGame, validate
 from fairgame.pgfile import (
     ParseError,
@@ -80,6 +81,18 @@ def test_parse_errors_carry_line_numbers(text, lineno, needle):
 def test_parse_rejects_empty_input():
     with pytest.raises(ParseError, match="no vertex records"):
         parse_game("\n\n")
+
+
+@pytest.mark.parametrize("text", ["0 1 0 0\x1f,0;\n", "0 1 0 0 ,\x1f0;\n"])
+def test_unit_separator_in_a_successor_list_is_whitespace(tmp_path, capsys, text):
+    # the grammar's \s and str.split() take U+001F as whitespace, but int() does
+    # not strip it (U+001C-U+001E end a line, so they never reach int())
+    assert parse_game(text).succ == ((0, 0),)
+    assert _fields(parse_game(text)) == _fields(reference_parse_game(text.replace("\x1f", " ")))
+    path = tmp_path / "g.gm"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == "W_Even:\nW_Odd: 0\n"
 
 
 def test_random_game_is_wellformed_and_deterministic():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from fairgame.game import EVEN, ODD, Region, SubgameView
@@ -212,20 +214,62 @@ def test_operand_outside_active_rejected(ex1):
         pre_exists(view, EVEN, Region.of(ex1.n, [0, 1]))
 
 
+def restricted(g, keep):
+    """g's arena cut down to the vertices in keep, as the reference semantics read it."""
+    return SimpleNamespace(
+        n=g.n,
+        owner=[o if v in keep else None for v, o in enumerate(g.owner)],
+        succ=[[w for w in g.succ[v] if w in keep] for v in range(g.n)],
+        live_succ=[[w for w in g.live_succ[v] if w in keep] for v in range(g.n)],
+    )
+
+
+def dead_end_free_core(g, keep):
+    """The largest subset of keep in which every vertex keeps a successor."""
+    keep = set(keep)
+    while True:
+        drop = {v for v in keep if not keep.intersection(g.succ[v])}
+        if not drop:
+            return keep
+        keep -= drop
+
+
 def test_restriction_coherence_on_traps():
+    # the threshold operators on a sub-view against the reference semantics
+    # over the sub-arena's edges: inactive vertices never qualify, and an Odd
+    # vertex whose live edges all leave the sub-arena has none in it
     from fairgame.zielonka import solve_zielonka_normal
 
-    cases = 0
-    for _seed, _alpha, g in small_games(40, start_seed=700):
+    cases = cut_live = 0
+    for seed, _alpha, g in small_games(40, start_seed=700):
         view = SubgameView.full(g)
         art = solve_zielonka_normal(view)
-        for trap, trapped in ((art.win_even, ODD), (art.win_odd, EVEN)):
-            if not trap:
+        # the two winning regions are traps; the cores of seeded subsets are
+        # sub-arenas that cut live edges more often
+        arenas = [(art.win_even, ODD), (art.win_odd, EVEN)] + [
+            (Region.of(g.n, dead_end_free_core(g, s)), None) for s in seeded_subsets(g, seed, 4)[2:]
+        ]
+        for arena, trapped in arenas:
+            if not arena:
                 continue
-            sub = SubgameView(g, trap)
-            for s in seeded_subsets(g, 5):
-                sr = Region.of(g.n, s & set(trap))
-                assert pre_exists(sub, trapped, sr) == pre_exists(view, trapped, sr) & trap
-                assert pre_forall(sub, trapped, sr) == pre_forall(view, trapped, sr) & trap
+            sub = SubgameView(g, arena)
+            h = restricted(g, set(arena))
+            cut_live += sum(1 for v in arena if g.live_succ[v] and not h.live_succ[v])
+            operands = [Region.of(g.n, s & set(arena)) for s in seeded_subsets(g, 5)]
+            for sr in operands:
+                if trapped is not None:
+                    assert pre_exists(sub, trapped, sr) == pre_exists(view, trapped, sr) & arena
+                    assert pre_forall(sub, trapped, sr) == pre_forall(view, trapped, sr) & arena
+                s = set(sr)
+                for p in (EVEN, ODD):
+                    assert set(pre_exists(sub, p, sr)) == ref_pre_exists(h, p, s)
+                    assert set(pre_forall(sub, p, sr)) == ref_pre_forall(h, p, s)
+                    assert set(cpre(sub, p, sr)) == ref_cpre(h, p, s)
+                assert set(lpre_exists(sub, sr)) == ref_lpre_exists(h, s)
+                assert set(lpre_forall(sub, sr)) == ref_lpre_forall(h, s)
+                for tr in operands:
+                    assert set(apre(sub, sr, tr)) == ref_apre(h, s, set(tr))
+                    assert set(npre(sub, sr, tr)) == ref_npre(h, s, set(tr))
                 cases += 1
     assert cases >= 100
+    assert cut_live >= 10

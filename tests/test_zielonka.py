@@ -19,7 +19,7 @@ from fairgame.zielonka import (
     solve_zielonka_normal,
 )
 
-from conftest import build_game, make_g3, small_games
+from conftest import build_game, make_g3, offset_ladder, small_games
 
 
 def safe_reach_odd(view, S, R):
@@ -230,20 +230,6 @@ def test_extraction_matches_plain_solve():
         with_art = solve_zielonka_fair(view, extract=True)
         assert plain.win_even == with_art.win_even
         assert plain.win_odd == with_art.win_odd
-
-
-def offset_ladder(k, dual, offset):
-    """benchmark/gen.ladder's k-rung ladder (or dual) with priorities raised by offset."""
-    n = 2 * k + 1
-    owners, pris, succs = [1] + [0] * (n - 1), [1] * n, [[0]] + [None] * (n - 1)
-    for i in range(1, k + 1):
-        a, t = 2 * i, 2 * i - 1
-        owners[t], pris[t] = 1, 2
-        succs[a], succs[t] = [t, a], [2 * (i - 1)]
-    if dual:
-        owners = [1 - o for o in owners]
-        pris = [p + 1 for p in pris]
-    return build_game(owners, [p + offset for p in pris], succs)
 
 
 def golden_cases():
