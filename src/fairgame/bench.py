@@ -93,7 +93,7 @@ def run_instance(path: str, solver: str, timeout: Optional[float]) -> BenchRecor
     edges = sum(len(ws) for ws in game.succ)
     priorities = len(set(game.priority))
     live_edges = len(game.live)
-    deadline = Deadline(timeout) if timeout is not None else None
+    deadline = Deadline(timeout)
     status = "ok"
     win_even = win_odd = None
     t0 = time.perf_counter()

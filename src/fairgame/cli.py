@@ -60,7 +60,7 @@ def cmd_solve(args) -> int:
     if game is None:
         return 1
     game = _played_game(game, args.algo)
-    deadline = Deadline(args.timeout) if args.timeout is not None else None
+    deadline = Deadline(args.timeout)
     try:
         w_even, w_odd, template, strategy, trace = _solve_instance(
             game, args.algo, deadline, args.template or args.certify

@@ -35,12 +35,16 @@ def gc_paused():
             gc.enable()
 
 
+# a double quote ends a name in a game file; the parser's `str.splitlines` breaks at the rest
+_UNWRITABLE = frozenset('"\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029')
+
+
 class SolverTimeout(Exception):
     """Raised by a solver when its cooperative deadline expires."""
 
 
 class Deadline:
-    """Cooperative wall-clock deadline polled inside solver loops."""
+    """Cooperative wall-clock deadline polled inside solver loops; `Deadline(None)` never expires."""
 
     __slots__ = ("at",)
 
@@ -197,6 +201,9 @@ class OddFairGame:
             if min(edges(self.succ), default=0) < 0 or max(edges(self.succ), default=-1) >= n:
                 v, w = next((v, w) for v, ws in enumerate(self.succ) for w in ws if not 0 <= w < n)
                 raise ValueError(f"successor {w} of vertex {v} out of range")
+            if not _UNWRITABLE.isdisjoint("".join(filter(None, self.names))):
+                v, ch = next((v, c) for v, s in enumerate(self.names) for c in s or "" if c in _UNWRITABLE)
+                raise ValueError(f"name of vertex {v} contains {ch!r}")
             pred = [[] for _ in range(n)]
             for v, ws in enumerate(self.succ):
                 for w in ws:

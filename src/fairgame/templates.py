@@ -2,9 +2,9 @@
 
 An Odd template is an edge set over a region: Even keeps every edge that
 stays inside, Odd keeps one chosen edge per vertex plus, on cycles, all of
-its live edges. An Even strategy picks one edge per Even vertex of the
-region. Both come with validators that check the defining shape conditions
-against the game.
+its live edges; `_odd_template` is that rule for both solver families. An
+Even strategy picks one edge per Even vertex of the region. Both come with
+validators that check the defining shape conditions against the game.
 """
 
 from __future__ import annotations
@@ -109,29 +109,34 @@ def close_live_cycles(
         eset |= new
 
 
+def _odd_template(game, region: Region, members: set, choice: Dict[int, int]) -> OddTemplate:
+    """The template over region (as the set members) whose Odd vertices keep
+    their edge in choice, closed under live edges on cycles."""
+    edges = set()
+    for v in members:
+        if game.owner[v] == EVEN:
+            edges.update((v, w) for w in game.succ[v] if w in members)
+        elif v in choice:
+            edges.add((v, choice[v]))
+    return OddTemplate(game.n, region, close_live_cycles(game, region, edges))
+
+
 def build_rank_template(
     view: SubgameView, region: Region, ranks: Dict[int, Rank]
 ) -> OddTemplate:
-    """Template over an Odd winning region from its solve ranks.
-
-    Even vertices keep every edge inside the region; each Odd vertex keeps
-    one edge to a rank-minimal successor; live edges of vertices that end up
-    on a cycle are then added to a fixpoint.
-    """
+    """Template over an Odd winning region whose Odd vertices keep a successor
+    of least solve rank inside it, the lowest id among equals."""
     game = view.game
-    edges = set()
     verts = list(region)
     members = set(verts)
+    choice = {}
     for v in verts:
-        inside = [w for w in game.succ[v] if w in members]
-        if game.owner[v] == EVEN:
-            edges.update((v, w) for w in inside)
-        else:
+        if game.owner[v] == ODD:
+            inside = [w for w in game.succ[v] if w in members]
             if not inside:
                 raise ValueError(f"odd vertex {v} has no successor in the region")
-            best = min(inside, key=lambda w: (ranks[w].interleaved(), w))
-            edges.add((v, best))
-    return OddTemplate(game.n, region, close_live_cycles(game, region, edges))
+            choice[v] = min(inside, key=lambda w: (ranks[w].interleaved(), w))
+    return _odd_template(game, region, members, choice)
 
 
 def validate_odd_template(game: OddFairGame, t: OddTemplate) -> Optional[str]:

@@ -34,18 +34,18 @@ Either way the work follows what the removals touch. The extracted choices
 read the ranks of a from-scratch attractor, recomputed once when the peel
 loop ends on a kept one.
 
-With extract=True the frames additionally assemble one chosen edge per
-winning vertex of each player, combined at top level into an Odd template
-(closed under live edges on cycles) and an Even strategy.
+With extract=True every frame writes its chosen edges in place into one
+choice map per player, and returns only its regions. The map is read at the
+final regions alone, into an Odd template and an Even strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
 from .game import EVEN, ODD, Deadline, OddFairGame, Region, SubgameView
-from .templates import EvenStrategy, OddTemplate, close_live_cycles
+from .templates import EvenStrategy, OddTemplate, _odd_template
 from .transformers import Kernels, np_to_region, region_to_np
 
 
@@ -70,25 +70,14 @@ class RecursionArtifacts:
     even_strategy: Optional[EvenStrategy] = None
 
 
-class _Ctx:
-    __slots__ = ("game", "use_live", "extract", "check", "deadline")
+class _Ctx(NamedTuple):
+    """One solve's settings and, in extract mode, its choice map per player."""
 
-    def __init__(self, game, use_live, extract, check, deadline):
-        self.game = game
-        self.use_live = use_live
-        self.extract = extract
-        self.check = check
-        self.deadline = deadline
-
-
-class _Art:
-    """A sub-solution: each player's region and, in extract mode, chosen edges."""
-
-    __slots__ = ("win", "choice")
-
-    def __init__(self, extract: bool):
-        self.win = [set(), set()]
-        self.choice = ({}, {}) if extract else None
+    game: OddFairGame
+    use_live: bool
+    check: bool
+    deadline: Optional[Deadline]
+    choice: Optional[Tuple[Dict[int, int], Dict[int, int]]]
 
 
 def _safe_reach(
@@ -313,20 +302,22 @@ def _solve(ctx: _Ctx, active: Set[int]):
     Each pass reads the top class present in the remainder U; lam is its
     parity. The peel loop alternates the lam attractor to that class with
     removals of the opponent's sub-regions until the opponent's share of the
-    leftover core X is empty. A nonempty core is grown to its plain lam
-    attractor T inside U and claimed; without live pulls T equals X and the
-    removed pieces are exact, so the rest of U is the opponent's and the
-    pieces yield its edge choices directly. After a pull the pieces may be
-    too large and the next pass re-solves the shrunk remainder, whose top
-    class may have vanished. Only Even's attractor pulls, and it removes
-    pieces only at Odd levels, so an Even pass is always the last. The lam
-    attractor is updated after each removal that leaves more than it cuts
-    (kept) and recomputed after the others.
+    leftover core X is empty. Each removed piece's attractor choices go into
+    the shared map as it is removed. A nonempty core is grown to its plain
+    lam attractor T inside U and claimed; without live pulls T equals X and
+    the removed pieces are exact, so the rest of U is the opponent's, and
+    the choices its pieces wrote stand. After a pull the pieces may be too
+    large and the next pass re-solves the shrunk remainder, whose top class
+    may have vanished, and writes its choices again. Only Even's attractor
+    pulls, and it removes pieces only at Odd levels, so an Even pass is
+    always the last. The lam attractor is updated after each removal that
+    leaves more than it cuts (kept) and recomputed after the others. Returns
+    the pair of win sets, indexed by player.
     """
     game = ctx.game
     level = game.level
-    art = _Art(ctx.extract)
-    win, choice = art.win, art.choice
+    choice = ctx.choice
+    win = [set(), set()]
     U = set(active)
     while U:
         top = max(level[v] for v in U)
@@ -336,7 +327,6 @@ def _solve(ctx: _Ctx, active: Set[int]):
         X = set(U)
         fair_n = lam == EVEN and ctx.use_live
         removed: Set[int] = set()
-        pieces = []
         pulled = False
         kept = False
         while True:
@@ -353,7 +343,7 @@ def _solve(ctx: _Ctx, active: Set[int]):
                 if fair_n:
                     _check_no_live_crossing(game, Z, reach_n)
             sub = yield Z
-            z_opp = sub.win[opp]
+            z_opp = sub[opp]
             if not z_opp:
                 break
             fair_o = opp == EVEN and ctx.use_live
@@ -362,8 +352,8 @@ def _solve(ctx: _Ctx, active: Set[int]):
             if ctx.check:
                 whole, _, _ = _safe_reach(game, opp, fair_o, U, removed | z_opp)
                 assert whole == removed | reach_o, "staged removals diverge from the joint attractor"
-            if ctx.extract:
-                pieces.append((sub, reach_o, rank_o, set(z_opp)))
+            if choice is not None:
+                choice[opp].update(_reach_choices(game, opp, reach_o, rank_o, z_opp))
             X -= reach_o
             N -= reach_o
             removed |= reach_o
@@ -376,10 +366,9 @@ def _solve(ctx: _Ctx, active: Set[int]):
                 over, stamp = _rederive(game, lam, fair_n, X, reach_n, rank_n, reach_o, stamp)
                 Z |= over - reach_n
         if X:
-            if ctx.extract:
+            if choice is not None:
                 if kept:  # the choices read the from-scratch ranks
                     reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N)
-                choice[lam].update(sub.choice[lam])
                 choice[lam].update(_reach_choices(game, lam, reach_n, rank_n, N))
                 for v in N:
                     if game.owner[v] == lam:
@@ -388,26 +377,22 @@ def _solve(ctx: _Ctx, active: Set[int]):
             if pulled or ctx.check:
                 T, rank_t, _ = _safe_reach(game, lam, False, U, X)
                 assert pulled or T == X, "pull-free core grew under the plain attractor"
-                if ctx.extract:
+                if choice is not None:
                     choice[lam].update(_reach_choices(game, lam, T, rank_t, X))
             win[lam] |= T
             U -= T
             if pulled:
                 continue
-        if ctx.extract:
-            for sub_i, reach_i, rank_i, z_i in pieces:
-                choice[opp].update(sub_i.choice[opp])
-                choice[opp].update(_reach_choices(game, opp, reach_i, rank_i, z_i))
         win[opp] |= U
         break
     if ctx.check:
         _check_trap(game, EVEN, win[ODD], active)
         _check_trap(game, ODD, win[EVEN], active)
-    return art
+    return win
 
 
-def _run(ctx: _Ctx, active: Set[int]) -> _Art:
-    """Drive `_solve` frames on an explicit stack and return the root's result."""
+def _run(ctx: _Ctx, active: Set[int]) -> list:
+    """Drive `_solve` frames on an explicit stack and return the root's win sets."""
     stack = [_solve(ctx, active)]
     sent = None
     while True:
@@ -431,20 +416,21 @@ def _top(
     deadline: Optional[Deadline],
 ) -> RecursionArtifacts:
     game = view.game
-    ctx = _Ctx(game, use_live, extract, check, deadline)
-    art = _run(ctx, set(view.active))
-    w_even = Region.of(game.n, art.win[EVEN])
-    w_odd = Region.of(game.n, art.win[ODD])
+    ctx = _Ctx(game, use_live, check, deadline, ({}, {}) if extract else None)
+    win = _run(ctx, set(view.active))
+    w_even = Region.of(game.n, win[EVEN])
+    w_odd = Region.of(game.n, win[ODD])
     out = RecursionArtifacts(win_even=w_even, win_odd=w_odd)
     if extract:
-        base = set(art.choice[ODD].items())
-        for v in art.win[ODD]:
-            if game.owner[v] == EVEN:
-                base.update((v, w) for w in game.succ[v] if w in art.win[ODD])
-        out.odd_template = OddTemplate(
-            game.n, w_odd, close_live_cycles(game, w_odd, base)
-        )
-        out.even_strategy = EvenStrategy(game.n, w_even, dict(art.choice[EVEN]))
+        # An entry is read only for a vertex in its player's final region, and
+        # the last write to it came from a kept result: a discarded one (a pass
+        # that pulled, or a removed piece's sub-solution outside the piece)
+        # covers vertices that are solved and written again, or that end in
+        # the other player's region, where the entry is never read. Testing
+        # membership leaves a missing choice to the validators.
+        even = ctx.choice[EVEN]
+        out.odd_template = _odd_template(game, w_odd, win[ODD], ctx.choice[ODD])
+        out.even_strategy = EvenStrategy(game.n, w_even, {v: even[v] for v in win[EVEN] if v in even})
     return out
 
 

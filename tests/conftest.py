@@ -65,6 +65,17 @@ def small_games(count, *, max_n=10, alphas=(0, 30, 50, 80, 100), start_seed=0):
     return out
 
 
+def golden_cases():
+    """The smalls and offset ladders whose artifacts the digests pin."""
+    for _seed, _alpha, g in small_games(300):
+        yield g
+    for k in (1, 2, 5, 9):
+        for dual in (False, True):
+            for offset in (0, 2, 6):
+                for alpha in (0, 60):
+                    yield mutate_liveness(offset_ladder(k, dual, offset), alpha, k + offset)
+
+
 @pytest.fixture(scope="session")
 def ex1():
     return make_ex1()

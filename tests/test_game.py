@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from fairgame.game import (
     EVEN,
     ODD,
+    Deadline,
     OddFairGame,
+    SolverTimeout,
     Region,
     SubgameView,
     least_even_upperbound,
@@ -71,6 +73,36 @@ def test_constructor_names_the_first_violated_check(owners, priorities, succ, me
     with pytest.raises(ValueError) as exc:
         OddFairGame(owners, priorities, succ)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "succ, names, message",
+    [
+        ([[0], [1]], [None, 'a"b'], "name of vertex 1 contains '\"'"),
+        *(([[0], [1]], ["ok", f"a{ch}b"], f"name of vertex 1 contains {ch!r}")
+          for ch in "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"),
+        ([[0], [1]], ["\u2028", '"'], "name of vertex 0 contains '\\u2028'"),
+        # the name check comes after the four checks above
+        ([[0], [2]], [None, 'a"b'], "successor 2 of vertex 1 out of range"),
+    ],
+)
+def test_constructor_rejects_names_a_game_file_cannot_hold(succ, names, message):
+    # parse_game splits its text with str.splitlines, so each of these would
+    # make write_game's output unreadable
+    with pytest.raises(ValueError) as exc:
+        OddFairGame([0, 1], [1, 2], succ, names=names)
+    assert str(exc.value) == message
+
+
+def test_rejected_name_characters_are_the_quote_and_every_line_break():
+    breaks = {ch for ch in map(chr, range(0x110000)) if len(f"a{ch}b".splitlines()) > 1}
+    assert game_module._UNWRITABLE == breaks | {'"'}
+
+
+def test_a_deadline_of_none_never_expires():
+    Deadline(None).poll()
+    with pytest.raises(SolverTimeout):
+        Deadline(-1.0).poll()
 
 
 @pytest.mark.parametrize("enabled", [True, False])

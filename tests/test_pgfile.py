@@ -35,6 +35,14 @@ def test_parse_preserves_structure(ex1):
     assert g.names == ex1.names
 
 
+def test_every_name_the_constructor_takes_round_trips():
+    names = ["\t", "a\tb", "\u00a0", "x\u00a0y", ";", "a;b", "", None]
+    g = OddFairGame([0] * len(names), [1] * len(names), [[v] for v in range(len(names))], names=names)
+    text = write_game(g)
+    assert parse_game(text).names == tuple(names)
+    assert write_game(parse_game(text)) == text
+
+
 def test_parse_remaps_sparse_ids():
     text = "parity 30;\n7 1 1 7,30;\n30 2 0 7;\nlive 7 30;\n"
     g = parse_game(text)

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from fairgame.game import EVEN, ODD, Region, SubgameView
+from fairgame.game import EVEN, ODD, OddFairGame, Region, SubgameView
 from fairgame.fixpoint import extract_ranks, solve_even_fp, solve_odd_fp
 from fairgame.certify import certify_partition
 from fairgame.templates import (
@@ -19,7 +20,7 @@ from fairgame.templates import (
 )
 from fairgame.zielonka import solve_zielonka_fair
 
-from conftest import build_game, small_games
+from conftest import build_game, golden_cases, small_games
 
 EX1_TEMPLATE_EDGES = {
     (0, 3), (0, 6), (2, 3), (2, 5), (3, 2), (4, 6), (5, 3), (6, 5),
@@ -249,3 +250,34 @@ def test_both_routes_certify_on_smalls():
         if res.certified and res2.certified:
             certified += 1
     assert certified >= 100
+
+
+def rank_route_digest(use_live):
+    h = hashlib.sha256()
+    for g in golden_cases():
+        # the twin lists each successor list backwards, so that a tie between
+        # ranks no longer falls to the first successor listed
+        twin = OddFairGame(g.owner, g.original_priority, [ws[::-1] for ws in g.succ], g.live)
+        for game in (g, twin):
+            view = SubgameView.full(game)
+            w_odd, tr = solve_odd_fp(view, use_live=use_live)
+            template = build_rank_template(view, w_odd, extract_ranks(tr))
+            strategy = extract_even_strategy(view, trace=tr, use_live=use_live)
+            h.update(repr((
+                sorted(strategy.vertices), sorted(w_odd),
+                sorted(template.edges), sorted(strategy.choice.items()),
+            )).encode())
+    return h.hexdigest()
+
+
+# regions, rank-template edges and Even choices of the fixed-point route,
+# pinned like the Zielonka core's ARTIFACT_DIGEST
+RANK_ROUTE_DIGEST = {
+    True: "dd86bcd8ad7127403c7e6a5b626a72c32eda9729363676dee5d9461000d0358b",
+    False: "d666500a7785b5c367dbd7991cf6e0535836c1c77351c4d995e0736794d24534",
+}
+
+
+@pytest.mark.parametrize("use_live", [True, False])
+def test_rank_route_matches_golden_digest(use_live):
+    assert rank_route_digest(use_live) == RANK_ROUTE_DIGEST[use_live]

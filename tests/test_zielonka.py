@@ -19,7 +19,7 @@ from fairgame.zielonka import (
     solve_zielonka_normal,
 )
 
-from conftest import build_game, make_g3, offset_ladder, small_games
+from conftest import build_game, golden_cases, make_g3, offset_ladder, small_games
 
 
 def safe_reach_odd(view, S, R):
@@ -230,16 +230,6 @@ def test_extraction_matches_plain_solve():
         with_art = solve_zielonka_fair(view, extract=True)
         assert plain.win_even == with_art.win_even
         assert plain.win_odd == with_art.win_odd
-
-
-def golden_cases():
-    for _seed, _alpha, g in small_games(300):
-        yield g
-    for k in (1, 2, 5, 9):
-        for dual in (False, True):
-            for offset in (0, 2, 6):
-                for alpha in (0, 60):
-                    yield mutate_liveness(offset_ladder(k, dual, offset), alpha, k + offset)
 
 
 def peel_cases():
