@@ -24,7 +24,7 @@ from .bench import FAIR_TAGS, SOLVER_TAGS, run_bench, write_csv
 from .bench import solve_instance as _solve_instance
 from .certify import certify_partition
 from .fixpoint import extract_ranks
-from .game import Deadline, SolverTimeout
+from .game import Deadline, SolverTimeout, gc_paused
 from .pgfile import ParseError, mutate_liveness, mutate_priorities, parse_game, write_game
 from .report import ReportError, write_report
 from .templates import format_strategy, format_template
@@ -55,6 +55,7 @@ def _played_game(game, algo):
     return game if algo in FAIR_TAGS else mutate_liveness(game, 0, 0)
 
 
+@gc_paused()  # no collector pass finds anything to free here
 def cmd_solve(args) -> int:
     game = _load_game(args.file)
     if game is None:

@@ -170,7 +170,10 @@ def _run(
             if not changed:
                 return newval
 
-    result = eval_level(l)
+    try:
+        result = eval_level(l)
+    finally:
+        del eval_level  # it refers to itself: a cycle that would hold K and the iterates
     region = np_to_region(result)
     if comp is not None:
         for m in recorded:

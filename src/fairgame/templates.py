@@ -92,9 +92,13 @@ def close_live_cycles(
     """Close an edge set under: Odd vertices on a cycle keep all live edges.
 
     Live edges whose target falls outside the region are not added; the
-    validator reports such templates.
+    validator reports such templates. A region without a live edge out of
+    any of its vertices has nothing to add, and returns the edges without an
+    SCC pass.
     """
     vset = set(vertices)
+    if not any(map(game.live_succ.__getitem__, vset)):
+        return frozenset(edges)
     eset = set(edges)
     while True:
         new = {

@@ -34,6 +34,12 @@ Either way the work follows what the removals touch. The extracted choices
 read the ranks of a from-scratch attractor, recomputed once when the peel
 loop ends on a kept one.
 
+The attractors of one solve share flat per-vertex counters (`_counters`),
+made once per solve and dropped with it: edges into the attracted set,
+live edges into it, the degree in the arena (-1 until read) and the layer
+that last listed the vertex as a candidate. Each `_attract` puts the entries
+it touched back at rest before it returns.
+
 With extract=True every frame writes its chosen edges in place into one
 choice map per player, and returns only its regions. The map is read at the
 final regions alone, into an Odd template and an Even strategy.
@@ -70,14 +76,21 @@ class RecursionArtifacts:
     even_strategy: Optional[EvenStrategy] = None
 
 
+def _counters(n: int) -> tuple:
+    """Attractor counters at rest over n vertices: cnt, lcnt, deg, mark."""
+    return [0] * n, [0] * n, [-1] * n, [0] * n
+
+
 class _Ctx(NamedTuple):
-    """One solve's settings and, in extract mode, its choice map per player."""
+    """One solve's settings, its attractor counters and, in extract mode, its
+    choice map per player."""
 
     game: OddFairGame
     use_live: bool
     check: bool
     deadline: Optional[Deadline]
     choice: Optional[Tuple[Dict[int, int], Dict[int, int]]]
+    tab: tuple  # `_counters`
 
 
 def _safe_reach(
@@ -87,6 +100,7 @@ def _safe_reach(
     S: Set[int],
     R: Set[int],
     arena: Optional[Set[int]] = None,
+    tab: Optional[tuple] = None,
 ):
     """Layered attractor for player toward R with S as the allowed corridor.
 
@@ -94,51 +108,58 @@ def _safe_reach(
     is attracted. fair adds the live-edge pull for Even. Returns (reach set,
     rank dict, pulled flag); pulled is True when some Odd vertex entered
     through the live pull alone, i.e. the result may be strictly larger than
-    the classical attractor.
+    the classical attractor. tab is the solve's counters (default: new ones).
     """
     if arena is None:
         arena = S
     reach = set(R)
     rank = {v: 1 for v in R}
-    _, pulled = _attract(game, player, fair, S, arena, reach, rank, list(R), 1)
+    tab = tab or _counters(game.n)
+    _, pulled = _attract(game, tab, player, fair, S, arena, reach, rank, list(R), 1)
     return reach, rank, pulled
 
 
-def _attract(game, player, fair, S, arena, reach, rank, frontier, level):
+def _attract(game, tab, player, fair, S, arena, reach, rank, frontier, level):
     """Grow reach in place, one layer per level, from the vertices in frontier.
 
     A vertex of S joins when its owner can force the next step into reach
     (see `_safe_reach`) and gets the layer's level as its rank. Every member
     of frontier must be in reach, and the counts start from frontier alone.
-    Returns (the last level, pulled flag).
+    tab's counters must be at rest, and are left so. Returns (the last level,
+    pulled flag).
     """
-    cnt: Dict[int, int] = {}
-    lcnt: Dict[int, int] = {}
-    deg: Dict[int, int] = {}
+    cnt, lcnt, deg, mark = tab
+    pred, live_pred, owner, succ = game.pred, game.live_pred, game.owner, game.succ
+    touched = []
     pulled = False
     while frontier:
-        level += 1
-        cands = set()
+        level += 1  # a layer's mark: levels only grow within a call
+        cands = []
         for w in frontier:
-            for v in game.pred[w]:
+            for v in pred[w]:
                 if v in S and v not in reach:
-                    cnt[v] = cnt.get(v, 0) + 1
-                    cands.add(v)
+                    cnt[v] += 1
+                    if mark[v] != level:
+                        mark[v] = level
+                        cands.append(v)
             if fair:
-                for v in game.live_pred[w]:
+                for v in live_pred[w]:
                     if v in S and v not in reach:
-                        lcnt[v] = lcnt.get(v, 0) + 1
-                        cands.add(v)
+                        lcnt[v] += 1
+                        if mark[v] != level:
+                            mark[v] = level
+                            cands.append(v)
+        touched += cands
         frontier = []
         for v in cands:
-            own = game.owner[v]
+            own = owner[v]
             if own == player:
-                ok = cnt.get(v, 0) >= 1
+                ok = cnt[v] >= 1
             else:
-                if v not in deg:
-                    deg[v] = sum(1 for w in game.succ[v] if w in arena)
-                ok = cnt.get(v, 0) == deg[v]
-                if not ok and fair and own == ODD and lcnt.get(v, 0) >= 1:
+                if deg[v] < 0:
+                    deg[v] = sum(map(arena.__contains__, succ[v]))
+                ok = cnt[v] == deg[v]
+                if not ok and fair and own == ODD and lcnt[v] >= 1:
                     ok = True
                     pulled = True
             if ok:
@@ -146,10 +167,13 @@ def _attract(game, player, fair, S, arena, reach, rank, frontier, level):
         for v in frontier:
             reach.add(v)
             rank[v] = level
+    for v in touched:
+        cnt[v] = lcnt[v] = mark[v] = 0
+        deg[v] = -1
     return level, pulled
 
 
-def _rederive(game, player, fair, X, reach, rank, gone, top):
+def _rederive(game, player, fair, X, reach, rank, gone, top, tab=None):
     """Update player's attractor in place after its arena lost gone.
 
     reach is player's attractor in the arena X | gone, with its ranks as
@@ -160,7 +184,8 @@ def _rederive(game, player, fair, X, reach, rank, gone, top):
     except a player vertex that still has a lower-stamped successor in the
     set; then re-attract inside the over-deleted set, stamping each layer
     above top. Returns (over, top): the over-deleted vertices, some of which
-    may be back in reach, and the new bound on the stamps.
+    may be back in reach, and the new bound on the stamps. tab is as in
+    `_safe_reach`.
     """
     owner, succ = game.owner, game.succ
     lost = [u for u in gone if u in reach]
@@ -180,7 +205,8 @@ def _rederive(game, player, fair, X, reach, rank, gone, top):
             over.add(p)
             lost.append(p)
     edge = {w for v in over for w in succ[v] if w in reach}
-    top, _ = _attract(game, player, fair, over, X, reach, rank, list(edge), top)
+    tab = tab or _counters(game.n)
+    top, _ = _attract(game, tab, player, fair, over, X, reach, rank, list(edge), top)
     return over, top
 
 
@@ -317,6 +343,7 @@ def _solve(ctx: _Ctx, active: Set[int]):
     game = ctx.game
     level = game.level
     choice = ctx.choice
+    tab = ctx.tab
     win = [set(), set()]
     U = set(active)
     while U:
@@ -333,11 +360,11 @@ def _solve(ctx: _Ctx, active: Set[int]):
             if ctx.deadline is not None:
                 ctx.deadline.poll()
             if not kept:
-                reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N)
+                reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N, tab=tab)
                 stamp = len(X)  # no layer rank exceeds the arena's size
                 Z = X - reach_n
             if ctx.check:
-                assert reach_n == _safe_reach(game, lam, fair_n, X, N)[0], "maintained attractor diverges"
+                assert reach_n == _safe_reach(game, lam, fair_n, X, N, tab=tab)[0], "maintained attractor diverges"
                 assert Z == X - reach_n, "maintained remainder diverges"
                 _check_trap(game, lam, Z, X)
                 if fair_n:
@@ -347,10 +374,10 @@ def _solve(ctx: _Ctx, active: Set[int]):
             if not z_opp:
                 break
             fair_o = opp == EVEN and ctx.use_live
-            reach_o, rank_o, p = _safe_reach(game, opp, fair_o, X, z_opp)
+            reach_o, rank_o, p = _safe_reach(game, opp, fair_o, X, z_opp, tab=tab)
             pulled = pulled or p
             if ctx.check:
-                whole, _, _ = _safe_reach(game, opp, fair_o, U, removed | z_opp)
+                whole, _, _ = _safe_reach(game, opp, fair_o, U, removed | z_opp, tab=tab)
                 assert whole == removed | reach_o, "staged removals diverge from the joint attractor"
             if choice is not None:
                 choice[opp].update(_reach_choices(game, opp, reach_o, rank_o, z_opp))
@@ -363,19 +390,19 @@ def _solve(ctx: _Ctx, active: Set[int]):
             kept = len(reach_o) < len(X)
             if kept:
                 Z -= reach_o
-                over, stamp = _rederive(game, lam, fair_n, X, reach_n, rank_n, reach_o, stamp)
+                over, stamp = _rederive(game, lam, fair_n, X, reach_n, rank_n, reach_o, stamp, tab=tab)
                 Z |= over - reach_n
         if X:
             if choice is not None:
                 if kept:  # the choices read the from-scratch ranks
-                    reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N)
+                    reach_n, rank_n, _ = _safe_reach(game, lam, fair_n, X, N, tab=tab)
                 choice[lam].update(_reach_choices(game, lam, reach_n, rank_n, N))
                 for v in N:
                     if game.owner[v] == lam:
                         choice[lam][v] = min(w for w in game.succ[v] if w in X)
             T = X
             if pulled or ctx.check:
-                T, rank_t, _ = _safe_reach(game, lam, False, U, X)
+                T, rank_t, _ = _safe_reach(game, lam, False, U, X, tab=tab)
                 assert pulled or T == X, "pull-free core grew under the plain attractor"
                 if choice is not None:
                     choice[lam].update(_reach_choices(game, lam, T, rank_t, X))
@@ -416,7 +443,7 @@ def _top(
     deadline: Optional[Deadline],
 ) -> RecursionArtifacts:
     game = view.game
-    ctx = _Ctx(game, use_live, check, deadline, ({}, {}) if extract else None)
+    ctx = _Ctx(game, use_live, check, deadline, ({}, {}) if extract else None, _counters(game.n))
     win = _run(ctx, set(view.active))
     w_even = Region.of(game.n, win[EVEN])
     w_odd = Region.of(game.n, win[ODD])

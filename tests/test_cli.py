@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -398,3 +399,25 @@ def test_bench_jobs_are_clamped(tmp_path, monkeypatch):
     monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
     bench.run_bench(paths, algos, 30, jobs=8)  # unknown core count: one process
     assert sizes == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_solve_pauses_the_collector_and_restores_it(ex1_file, tmp_path, monkeypatch, capsys, enabled):
+    states = []
+    solve = cli._solve_instance
+    monkeypatch.setattr(cli, "_solve_instance", lambda *a: states.append(gc.isenabled()) or solve(*a))
+    runs = [
+        (["solve", ex1_file, "--template"], 0),
+        (["check", ex1_file], 0),
+        (["solve", str(tmp_path / "missing.gm")], 1),
+        (["solve", ex1_file, "--timeout", "0"], 3),
+    ]
+    was = gc.isenabled()
+    try:
+        for argv, code in runs:
+            gc.enable() if enabled else gc.disable()
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert states == [False, False, False]  # every solve that got that far ran with it off

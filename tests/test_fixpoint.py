@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from fairgame.bench import SOLVER_TAGS, solve_instance
 from fairgame.certify import certify_partition
 from fairgame.cli import _played_game
-from fairgame.game import EVEN, ODD, Region, SubgameView
+from fairgame.game import EVEN, ODD, Deadline, Region, SolverTimeout, SubgameView
 from fairgame.fixpoint import extract_ranks, m_set, solve_even_fp, solve_odd_fp
 from fairgame.pgfile import mutate_liveness, random_game
 
@@ -343,3 +344,26 @@ FP_TRACE_DIGEST = "69c519840b78b375a01692dd18758a462d01fda3de3929b32d02b7bdb01b1
 
 def test_traces_match_golden_digest():
     assert fp_trace_digest(fp_trace_cases()) == FP_TRACE_DIGEST
+
+
+@pytest.mark.parametrize("algo", SOLVER_TAGS)
+def test_a_solve_leaves_no_cyclic_garbage(algo):
+    # `fairgame solve` runs with the collector off, so a cycle left by a
+    # solve would hold its kernels and iterates until some later collection
+    g = mutate_liveness(random_game(60, 5, 3), 50, 3)
+    solves = [lambda: solve_instance(g, algo, None, True)]
+    if algo == "of-fp":
+        solves.append(lambda: solve_instance(g, algo, Deadline(0), True))
+    was = gc.isenabled()
+    try:
+        for solve in solves:
+            for _ in range(2):  # the first call may make what later ones share
+                gc.collect()
+                gc.disable()
+                try:
+                    solve()
+                except SolverTimeout:
+                    pass
+            assert gc.collect() == 0
+    finally:
+        gc.enable() if was else gc.disable()

@@ -274,14 +274,24 @@ def test_live_adjacency_matches_reference_on_hand_built_edges(live, message):
     assert validate(g) == message
 
 
+def reference_scan(region):
+    """`Region.__iter__` as it was: a `str.find` walk over the bit string."""
+    bits = region.bits()
+    v = bits.find("1")
+    while v >= 0:
+        yield v
+        v = bits.find("1", v + 1)
+
+
 def test_region_iteration_and_building_match_bit_peeling():
     rng = random.Random(5)
-    for n in (0, 1, 2, 63, 64, 65, 1000, 100_000):
+    for n in (0, 1, 2, 7, 13, 63, 64, 65, 1000, 100_000):
         masks = [0, (1 << n) - 1, rng.getrandbits(n) if n else 0]
         if n:
             masks.append((1 << (n - 1)) | (1 << (n // 2)))  # sparse, high bits
+            masks.append(1 << (n - 1))  # the top bit alone
         for mask in masks:
-            assert list(Region(n, mask)) == reference_iter(mask)
+            assert list(Region(n, mask)) == reference_iter(mask) == list(reference_scan(Region(n, mask)))
             assert Region.of(n, reversed(reference_iter(mask))).mask == mask
 
 
@@ -303,3 +313,12 @@ def test_subgame_view_names_the_smallest_dead_end():
             SubgameView(g, active)
         checked += 1
     assert checked > 50
+
+
+def test_full_view_of_a_game_with_a_dead_end_names_it():
+    # the full view skips its successor walk only when no vertex dead-ends
+    g = build_game([0, 1, 0, 1], [1, 2, 1, 2], [[1], [2], [], [2, 3]])
+    with pytest.raises(ValueError, match="^restriction creates a dead end at 2$"):
+        SubgameView.full(g)
+    whole = build_game([0, 1], [1, 2], [[1], [0, 1]])
+    assert SubgameView.full(whole).active == Region.full(2)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fairgame import templates
 from fairgame.game import EVEN, ODD, OddFairGame, Region, SubgameView
 from fairgame.fixpoint import extract_ranks, solve_even_fp, solve_odd_fp
 from fairgame.certify import certify_partition
@@ -281,3 +282,45 @@ RANK_ROUTE_DIGEST = {
 @pytest.mark.parametrize("use_live", [True, False])
 def test_rank_route_matches_golden_digest(use_live):
     assert rank_route_digest(use_live) == RANK_ROUTE_DIGEST[use_live]
+
+
+def reference_close_live_cycles(game, vertices, edges):
+    """`close_live_cycles` as it was, with an SCC pass on every region."""
+    vset = set(vertices)
+    eset = set(edges)
+    while True:
+        new = {
+            (v, w)
+            for v in templates._cycle_vertices(vset, eset)
+            if game.owner[v] == ODD
+            for w in game.live_succ[v]
+            if w in vset
+        } - eset
+        if not new:
+            return frozenset(eset)
+        eset |= new
+
+
+def test_close_live_cycles_runs_no_scc_pass_without_live_edges(monkeypatch):
+    calls = [0]
+    scc = templates._scc_components
+
+    def counted(*args):
+        calls[0] += 1
+        return scc(*args)
+
+    monkeypatch.setattr(templates, "_scc_components", counted)
+    skipped = closed = 0
+    for seed, _alpha, g in small_games(300, max_n=12, start_seed=4100):
+        rng = random.Random(seed)
+        region = Region(g.n, rng.getrandbits(g.n))
+        edges = {(v, w) for v in region for w in g.succ[v] if w in region and rng.random() < 0.7}
+        calls[0] = 0
+        got = close_live_cycles(g, region, iter(edges))
+        if any(g.live_succ[v] for v in region):
+            closed += calls[0] > 0
+            assert got == reference_close_live_cycles(g, region, edges)
+        else:
+            assert got == frozenset(edges) and calls[0] == 0
+            skipped += 1
+    assert skipped > 50 and closed > 100

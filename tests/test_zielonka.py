@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ from fairgame.fixpoint import solve_even_fp, solve_odd_fp
 from fairgame.pgfile import mutate_liveness, random_game, write_game
 from fairgame.templates import validate_even_strategy, validate_odd_template
 from fairgame.zielonka import (
+    _attract,
+    _counters,
     _public_reach,
     _rederive,
     _safe_reach,
@@ -314,13 +317,13 @@ def test_attractor_work_is_linear_on_ladders(monkeypatch):
     added = [0]
     safe_reach, rederive = zielonka._safe_reach, zielonka._rederive
 
-    def counted_safe_reach(game, player, fair, S, R, arena=None):
-        out = safe_reach(game, player, fair, S, R, arena)
+    def counted_safe_reach(game, player, fair, S, R, arena=None, tab=None):
+        out = safe_reach(game, player, fair, S, R, arena, tab)
         added[0] += len(out[0]) - len(R)
         return out
 
-    def counted_rederive(*args):
-        out = rederive(*args)
+    def counted_rederive(*args, **kwargs):
+        out = rederive(*args, **kwargs)
         added[0] += len(out[0])
         return out
 
@@ -334,3 +337,90 @@ def test_attractor_work_is_linear_on_ladders(monkeypatch):
                 solve_instance(offset_ladder(k, dual, 0), algo, None, True)
                 work[k] = added[0]
             assert 0 < work[1000] <= 2.5 * work[500], (dual, algo, work)
+
+
+def reference_attract(game, player, fair, S, arena, reach, rank, frontier, level):
+    """`zielonka._attract` as it was with per-call dict counters, kept verbatim."""
+    cnt = {}
+    lcnt = {}
+    deg = {}
+    pulled = False
+    while frontier:
+        level += 1
+        cands = set()
+        for w in frontier:
+            for v in game.pred[w]:
+                if v in S and v not in reach:
+                    cnt[v] = cnt.get(v, 0) + 1
+                    cands.add(v)
+            if fair:
+                for v in game.live_pred[w]:
+                    if v in S and v not in reach:
+                        lcnt[v] = lcnt.get(v, 0) + 1
+                        cands.add(v)
+        frontier = []
+        for v in cands:
+            own = game.owner[v]
+            if own == player:
+                ok = cnt.get(v, 0) >= 1
+            else:
+                if v not in deg:
+                    deg[v] = sum(1 for w in game.succ[v] if w in arena)
+                ok = cnt.get(v, 0) == deg[v]
+                if not ok and fair and own == ODD and lcnt.get(v, 0) >= 1:
+                    ok = True
+                    pulled = True
+            if ok:
+                frontier.append(v)
+        for v in frontier:
+            reach.add(v)
+            rank[v] = level
+    return level, pulled
+
+
+def test_flat_counter_attractor_matches_the_dict_reference():
+    # one counter table per game serves every call, as one serves a solve:
+    # a call that left an entry dirty would skew the next one
+    rng = random.Random(2018)
+    calls = rederived = pulled = 0
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        owners = [rng.randint(0, 1) for _ in range(n)]
+        succ = [[rng.randrange(n) for _ in range(rng.randint(1, 4))] for _ in range(n)]
+        for ws in succ:
+            if rng.random() < 0.3:
+                ws.append(ws[0])  # a repeated successor
+        live = [(v, w) for v in range(n) if owners[v] == ODD for w in set(succ[v]) if rng.random() < 0.4]
+        g = build_game(owners, [1] * n, succ, live)
+        tab = _counters(n)
+        for _ in range(4):
+            player = rng.randint(0, 1)
+            fair = player == EVEN and rng.random() < 0.8
+            arena = {v for v in range(n) if rng.random() < 0.85} or {0}
+            S = {v for v in arena if rng.random() < 0.85} or set(arena)
+            R = {v for v in S if rng.random() < 0.3} or {min(S)}
+
+            def both(S, reach, rank, frontier, level):
+                got = (set(reach), dict(rank))
+                got += _attract(g, tab, player, fair, S, arena, *got, list(frontier), level)
+                assert tab == _counters(n), "counters not back at rest"
+                want = (set(reach), dict(rank))
+                want += reference_attract(g, player, fair, S, arena, *want, list(frontier), level)
+                assert got == want
+                return got
+
+            reach, rank, top, p = both(S, R, {v: 1 for v in R}, list(R), 1)
+            pulled += p
+            calls += 1
+            # a re-derivation, as `_rederive` passes it: some attracted
+            # vertices leave, and the frontier is their successors still in
+            # reach, with every new layer stamped above top
+            over = {v for v in reach - R if rng.random() < 0.5}
+            if over:
+                reach -= over
+                for v in over:
+                    del rank[v]
+                edge = {w for v in over for w in g.succ[v] if w in reach}
+                both(over, reach, rank, sorted(edge, reverse=True), top)
+                rederived += 1
+    assert calls == 1600 and rederived > 300 and pulled > 50
