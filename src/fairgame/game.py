@@ -190,10 +190,10 @@ class OddFairGame:
                     by_source.setdefault(u, []).append(w)
                     if 0 <= w < n:
                         by_target.setdefault(w, []).append(u)
-            # vertices without live edges share one empty list and the empty tuple
-            live_succ, live_pred = [[]] * n, [()] * n
+            # vertices without live edges share the empty tuple
+            live_succ, live_pred = [()] * n, [()] * n
             for u, ws in by_source.items():
-                live_succ[u] = ws
+                live_succ[u] = tuple(ws)
             for w, us in by_target.items():
                 live_pred[w] = tuple(us)
             self.live_succ, self.live_pred = tuple(live_succ), tuple(live_pred)

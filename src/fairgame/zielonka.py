@@ -5,20 +5,21 @@ its arena, solves the rest, and removes opponent attractors until stable. It
 reads the game's levels (`OddFairGame.level`, the dense relabelling of its
 priorities with the same order and parity) and nests only into the classes
 present in each sub-arena. Each nested solve is a generator frame that
-yields its sub-arena; `_run` keeps the frames on a list, so the nesting depth
-is bounded by memory, not by Python's recursion limit.
+owns its arena and lends the sub-arena it yields: the arena drops it and
+takes it back as the child's regions, so the sets held at all depths total
+O(n). `_run` keeps the frames on a list, so nesting is bounded by memory.
 Under the fairness assumption Even's attractor additionally pulls in Odd
 vertices with a live edge into the attracted set, which overapproximates
 Even's classical reach. An Odd level therefore runs in passes: the surviving
 core is grown by one plain Odd attractor and claimed for Odd, and if any
-live pull fired during the pass the remainder is re-solved the same way
-until the core comes back empty. The plain attractor alone can miss
-remainder vertices whose only escape is an odd cycle inside the
+live pull fired during the pass the rest of the removed pieces is re-solved
+the same way until the core comes back empty. The plain attractor alone can
+miss removed vertices whose only escape is an odd cycle inside the
 overapproximated piece, which is why the passes are needed. When no pull
-fired the removed pieces are exact attractors, so the remainder is already
-the opponent's region and the passes stop early; an Even level, whose
-removed pieces are Odd attractors, always stops after one pass. Either way
-the last pass's pieces tile the opponent's region exactly.
+fired the removed pieces are exact attractors and make up the opponent's
+region, so the passes stop early; an Even level, whose removed pieces are
+Odd attractors, always stops after one pass. Either way the last pass's
+pieces tile the opponent's region exactly.
 
 The peel loop keeps the top class's attractor alive across removals rather
 than recomputing it over the whole arena each time (delete and re-derive,
@@ -322,40 +323,36 @@ def _check_trap(game, lam: int, Z: Set[int], X: Set[int]):
             assert any(w in Z for w in inside_x), f"vertex {v} is forced out of the trap"
 
 
-def _solve(ctx: _Ctx, active: Set[int]):
-    """Solve active as a frame of `_run`: `sub = yield Z` asks for Z's solution.
+def _solve(ctx: _Ctx, X: Set[int]):
+    """Solve the arena X as a frame of `_run`: `sub = yield Z` asks for Z's solution.
 
-    Each pass reads the top class present in the remainder U; lam is its
-    parity. The peel loop alternates the lam attractor to that class with
-    removals of the opponent's sub-regions until the opponent's share of the
-    leftover core X is empty. Each removed piece's attractor choices go into
-    the shared map as it is removed. A nonempty core is grown to its plain
-    lam attractor T inside U and claimed; without live pulls T equals X and
-    the removed pieces are exact, so the rest of U is the opponent's, and
-    the choices its pieces wrote stand. After a pull the pieces may be too
-    large and the next pass re-solves the shrunk remainder, whose top class
-    may have vanished, and writes its choices again. Only Even's attractor
-    pulls, and it removes pieces only at Odd levels, so an Even pass is
-    always the last. The lam attractor is updated after each removal that
-    leaves more than it cuts (kept) and recomputed after the others. Returns
-    the pair of win sets, indexed by player.
+    The frame owns X and consumes it. Each pass reads the top class present
+    in X; lam is its parity. The peel loop alternates the lam attractor to
+    that class with removals of the opponent's sub-regions into removed,
+    until the opponent's share of the core X is empty. X lends Z to the
+    child and takes back the child's regions, which tile Z. Each removed
+    piece's attractor choices go into the shared map as it is removed. A
+    nonempty core is grown to its plain lam attractor T inside X | removed
+    and claimed; without pulls T is X and removed is the opponent's region,
+    whose choices stand. After a pull the pieces may be too large, and the
+    next pass re-solves removed - T and writes its choices again. Only
+    Even's attractor pulls, and it removes pieces only at Odd levels, so an
+    Even pass is always the last. The lam attractor is updated after each
+    removal that leaves more than it cuts (kept) and recomputed after the
+    others. Returns the pair of win sets, indexed by player.
     """
-    game = ctx.game
+    game, choice, tab = ctx.game, ctx.choice, ctx.tab
     level = game.level
-    choice = ctx.choice
-    tab = ctx.tab
     win = [set(), set()]
-    U = set(active)
-    while U:
-        top = max(level[v] for v in U)
+    arena = set(X) if ctx.check else None  # for the final trap checks
+    while X:
+        top = max(level[v] for v in X)
         lam = top % 2
         opp = 1 - lam
-        N = {v for v in U if level[v] == top}
-        X = set(U)
+        N = {v for v in X if level[v] == top}
         fair_n = lam == EVEN and ctx.use_live
         removed: Set[int] = set()
-        pulled = False
-        kept = False
+        pulled = kept = False
         while True:
             if ctx.deadline is not None:
                 ctx.deadline.poll()
@@ -369,7 +366,9 @@ def _solve(ctx: _Ctx, active: Set[int]):
                 _check_trap(game, lam, Z, X)
                 if fair_n:
                     _check_no_live_crossing(game, Z, reach_n)
+            X -= Z  # lent to the child, which consumes it
             sub = yield Z
+            X.update(*sub)  # the child's regions tile Z
             z_opp = sub[opp]
             if not z_opp:
                 break
@@ -377,7 +376,7 @@ def _solve(ctx: _Ctx, active: Set[int]):
             reach_o, rank_o, p = _safe_reach(game, opp, fair_o, X, z_opp, tab=tab)
             pulled = pulled or p
             if ctx.check:
-                whole, _, _ = _safe_reach(game, opp, fair_o, U, removed | z_opp, tab=tab)
+                whole, _, _ = _safe_reach(game, opp, fair_o, X | removed, removed | z_opp, tab=tab)
                 assert whole == removed | reach_o, "staged removals diverge from the joint attractor"
             if choice is not None:
                 choice[opp].update(_reach_choices(game, opp, reach_o, rank_o, z_opp))
@@ -389,6 +388,7 @@ def _solve(ctx: _Ctx, active: Set[int]):
             # a cut at least as large as what is left pays for recomputing
             kept = len(reach_o) < len(X)
             if kept:
+                Z = sub[lam]  # the old Z less reach_o, which holds sub[opp]
                 Z -= reach_o
                 over, stamp = _rederive(game, lam, fair_n, X, reach_n, rank_n, reach_o, stamp, tab=tab)
                 Z |= over - reach_n
@@ -402,19 +402,19 @@ def _solve(ctx: _Ctx, active: Set[int]):
                         choice[lam][v] = min(w for w in game.succ[v] if w in X)
             T = X
             if pulled or ctx.check:
-                T, rank_t, _ = _safe_reach(game, lam, False, U, X, tab=tab)
+                T, rank_t, _ = _safe_reach(game, lam, False, X | removed, X, tab=tab)
                 assert pulled or T == X, "pull-free core grew under the plain attractor"
                 if choice is not None:
                     choice[lam].update(_reach_choices(game, lam, T, rank_t, X))
             win[lam] |= T
-            U -= T
             if pulled:
+                X = removed - T
                 continue
-        win[opp] |= U
+        win[opp] |= removed
         break
     if ctx.check:
-        _check_trap(game, EVEN, win[ODD], active)
-        _check_trap(game, ODD, win[EVEN], active)
+        _check_trap(game, EVEN, win[ODD], arena)
+        _check_trap(game, ODD, win[EVEN], arena)
     return win
 
 

@@ -43,9 +43,17 @@ def test_predecessors_are_exact_transpose():
 
 def test_live_edges_grouped_by_source():
     g = build_game([1, 0], [1, 2], [[0, 1], [1]], live=[(0, 1), (0, 0)])
-    assert g.live_succ[0] == [0, 1]
-    assert g.live_succ[1] == []
+    assert g.live_succ[0] == (0, 1)
+    assert g.live_succ[1] == ()
     assert set(g.live_pred[1]) == {0}
+
+
+def test_live_successor_rows_are_tuples_of_sorted_targets():
+    # the live-free vertices share one row, so a mutable row would let one append grow them all
+    g = OddFairGame([1, 1, 0], [1, 2, 3], [[0, 1], [1], [2]], [(0, 1)])
+    with pytest.raises(AttributeError):
+        g.live_succ[1].append(2)
+    assert g.live_succ == ((1,), (), ())  # a list row would not compare equal
 
 
 def test_constructor_rejects_bad_input():
@@ -207,7 +215,7 @@ def test_priority_class(ex1):
 def reference_live(n, live_edges):
     """(live_succ, live_pred, live) as built by one scan of the live edges per vertex."""
     live_edges = list(live_edges)
-    live_succ = tuple(sorted({w for (u, w) in live_edges if u == v}) for v in range(n))
+    live_succ = tuple(tuple(sorted({w for (u, w) in live_edges if u == v})) for v in range(n))
     live_pred = [[] for _ in range(n)]
     for v in range(n):
         for w in live_succ[v]:
@@ -229,7 +237,7 @@ def reference_iter(mask):
 def test_live_edges_from_a_generator_are_all_kept():
     edges = ((u, w) for (u, w) in [(0, 1), (1, 0)])
     g = OddFairGame([1, 1], [1, 1], [[0, 1], [0, 1]], edges)
-    assert g.live_succ == ([1], [0])
+    assert g.live_succ == ((1,), (0,))
     assert g.live == frozenset({(0, 1), (1, 0)})
     assert g.live_pred == ((1,), (0,))
 
@@ -244,7 +252,7 @@ def test_live_edges_are_iterated_once():
 
     g = OddFairGame([1, 1], [1, 2], [[0, 1], [1]], Counting())
     assert Counting.calls == 1
-    assert g.live_succ == ([0, 1], [1])
+    assert g.live_succ == ((0, 1), (1,))
 
 
 def test_live_adjacency_matches_reference_on_seeded_games():
@@ -255,7 +263,7 @@ def test_live_adjacency_matches_reference_on_seeded_games():
         random.Random(seed).shuffle(edges)
         h = OddFairGame(g.owner, g.original_priority, g.succ, edges)
         assert (h.live_succ, h.live_pred, h.live) == reference_live(n, edges)
-        assert all(type(ws) is list for ws in h.live_succ)
+        assert all(type(ws) is tuple for ws in h.live_succ)
 
 
 @pytest.mark.parametrize(

@@ -175,7 +175,7 @@ def test_mutate_liveness_alpha_100_marks_every_odd_vertex():
     odd = {v for v in range(g.n) if g.owner[v] == ODD}
     assert {u for (u, w) in m.live} == odd
     for v in odd:
-        assert m.live_succ[v] == sorted(set(g.succ[v]))
+        assert m.live_succ[v] == tuple(sorted(set(g.succ[v])))
 
 
 def test_mutate_liveness_alpha_0_strips_live_edges(ex1):

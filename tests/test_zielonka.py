@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -211,6 +212,21 @@ def test_chain_of_nested_classes_solves_past_the_recursion_limit(tmp_path, capsy
     path.write_text(write_game(chain(600)))
     assert cli.main(["solve", str(path), "--algo", "of-zl", "--template"]) == 0
     assert capsys.readouterr().out.startswith("W_Even:")
+
+
+def test_chain_memory_is_linear_in_the_nesting_depth():
+    # a frame that kept its own copy of its arena would hold O(n) at each of n depths: 3.8x per doubling
+    for solver, live in ((solve_zielonka_fair, True), (solve_zielonka_normal, False)):
+        peaks = []
+        for n in (400, 800):
+            view = SubgameView.full(chain(n, live))
+            tracemalloc.start()
+            try:
+                solver(view, extract=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.5 * peaks[0], (solver.__name__, peaks)
 
 
 def test_extraction_artifacts_validate():
