@@ -20,7 +20,6 @@ from .game import (
     SubgameView,
     least_even_upperbound,
     priority_class,
-    validate,
 )
 from .pgfile import (
     ParseError,
@@ -87,7 +86,6 @@ __all__ = [
     "SubgameView",
     "least_even_upperbound",
     "priority_class",
-    "validate",
     "ParseError",
     "parse_game",
     "write_game",

@@ -4,7 +4,8 @@ Vertices are dense 0-based ints internally; original input ids and optional
 names are kept for output. Priorities are normalized to be >= 1 (a uniform +2
 shift is applied iff any input priority is 0, which preserves parity). The
 solvers run on levels, a dense relabelling of the normalized priorities that
-keeps their order and parity.
+keeps their order and parity. A game is valid once its constructor returns,
+and the solvers, views and `write_game` rely on that.
 """
 
 from __future__ import annotations
@@ -155,6 +156,11 @@ class OddFairGame:
     `level == priority` on a game whose priorities leave no removable gap.
     Successor order is input order. The structure is immutable after
     construction.
+
+    The constructor raises ValueError on the first defect: no vertex, a
+    successor out of range, a name no game file can hold, a dead end, or a
+    live edge that is no edge out of an Odd vertex. So every game it builds
+    round-trips through `write_game` and `parse_game`.
     """
 
     def __init__(
@@ -169,9 +175,11 @@ class OddFairGame:
         n = len(owners)
         if not (len(priorities) == len(successors) == n):
             raise ValueError("owners, priorities, successors must have equal length")
+        if n == 0:
+            raise ValueError("a game needs at least one vertex")
         with gc_paused():
             self.original_priority = tuple(priorities)
-            if min(self.original_priority, default=0) < 0:
+            if min(self.original_priority) < 0:
                 raise ValueError("priorities must be non-negative")
             self.owner = tuple(owners)
             if self.owner.count(EVEN) + self.owner.count(ODD) != n:
@@ -184,19 +192,6 @@ class OddFairGame:
             self.level = _dense_levels(self.priority)
             self.succ = tuple(map(tuple, successors))
             self.live = frozenset((u, w) for (u, w) in live_edges)
-            by_source, by_target = {}, {}
-            for u, w in sorted(self.live):
-                if 0 <= u < n:
-                    by_source.setdefault(u, []).append(w)
-                    if 0 <= w < n:
-                        by_target.setdefault(w, []).append(u)
-            # vertices without live edges share the empty tuple
-            live_succ, live_pred = [()] * n, [()] * n
-            for u, ws in by_source.items():
-                live_succ[u] = tuple(ws)
-            for w, us in by_target.items():
-                live_pred[w] = tuple(us)
-            self.live_succ, self.live_pred = tuple(live_succ), tuple(live_pred)
             self.names = tuple(names) if names is not None else (None,) * n
             self.original_ids = tuple(original_ids) if original_ids is not None else tuple(range(n))
             edges = chain.from_iterable
@@ -206,12 +201,32 @@ class OddFairGame:
             if not _UNWRITABLE.isdisjoint("".join(filter(None, self.names))):
                 v, ch = next((v, c) for v, s in enumerate(self.names) for c in s or "" if c in _UNWRITABLE)
                 raise ValueError(f"name of vertex {v} contains {ch!r}")
+            if not all(self.succ):
+                raise ValueError(f"dead end at {self.succ.index(())}")
+            by_source, by_target = {}, {}
+            for u, w in sorted(self.live):
+                if not (0 <= u < n and 0 <= w < n):
+                    raise ValueError(f"live edge ({u}, {w}) references a nonexistent vertex")
+                if self.owner[u] != ODD:
+                    raise ValueError(f"live edge source owned by Even at {u}")
+                if u not in by_source:  # a set: one tuple scan per live edge is quadratic in the degree
+                    by_source[u], edges_of_u = [], set(self.succ[u])
+                if w not in edges_of_u:
+                    raise ValueError(f"live edge ({u}, {w}) not in the edge set")
+                by_source[u].append(w)
+                by_target.setdefault(w, []).append(u)
+            # vertices without live edges share the empty tuple
+            live_succ, live_pred = [()] * n, [()] * n
+            for u, ws in by_source.items():
+                live_succ[u] = tuple(ws)
+            for w, us in by_target.items():
+                live_pred[w] = tuple(us)
+            self.live_succ, self.live_pred = tuple(live_succ), tuple(live_pred)
             pred = [[] for _ in range(n)]
             for v, ws in enumerate(self.succ):
                 for w in ws:
                     pred[w].append(v)
             self.pred = tuple(map(tuple, pred))
-        self._arrays = None
 
     # -- structural queries ------------------------------------------------
 
@@ -224,31 +239,6 @@ class OddFairGame:
         name = self.names[v]
         return name if name is not None else str(self.original_ids[v])
 
-    def arrays(self):
-        """Flat numpy edge/owner/level arrays, built lazily and cached."""
-        if self._arrays is None:
-            import numpy as np
-
-            esrc, edst = [], []
-            for v in range(self.n):
-                for w in self.succ[v]:
-                    esrc.append(v)
-                    edst.append(w)
-            lsrc, ldst = [], []
-            for v in range(self.n):
-                for w in self.live_succ[v]:
-                    lsrc.append(v)
-                    ldst.append(w)
-            self._arrays = (
-                np.asarray(esrc, dtype=np.int64),
-                np.asarray(edst, dtype=np.int64),
-                np.asarray(lsrc, dtype=np.int64),
-                np.asarray(ldst, dtype=np.int64),
-                np.asarray(self.owner, dtype=np.int8),
-                np.asarray(self.level, dtype=np.int64),
-            )
-        return self._arrays
-
 
 def _dense_levels(priority: Tuple[int, ...]) -> Tuple[int, ...]:
     """`OddFairGame.level` of the normalized priorities."""
@@ -258,23 +248,6 @@ def _dense_levels(priority: Tuple[int, ...]) -> Tuple[int, ...]:
         last += 1 if (last + 1) % 2 == p % 2 else 2
         image[p] = last
     return tuple(map(image.__getitem__, priority))
-
-
-def validate(game: OddFairGame) -> Optional[str]:
-    """Return the first violated structural invariant, or None if the game is well formed."""
-    for v in range((game.n)):
-        if len(game.succ[v]) == 0:
-            return f"dead end at {v}"
-    sources = {u for (u, _) in game.live if 0 <= u < game.n}
-    succ = {u: set(game.succ[u]) for u in sources}
-    for (u, w) in sorted(game.live):
-        if not (0 <= u < game.n and 0 <= w < game.n):
-            return f"live edge ({u}, {w}) references a nonexistent vertex"
-        if game.owner[u] != ODD:
-            return f"live edge source owned by Even at {u}"
-        if w not in succ[u]:
-            return f"live edge ({u}, {w}) not in the edge set"
-    return None
 
 
 def least_even_upperbound(game: OddFairGame, active: Optional[Region] = None) -> int:
@@ -302,8 +275,8 @@ class SubgameView:
     def __init__(self, game: OddFairGame, active: Region):
         if active.n != game.n:
             raise ValueError("active region universe does not match game")
-        # the full view of a game without dead ends has none to look for
-        if active.mask != (1 << game.n) - 1 or not all(game.succ):
+        # a game has no dead ends, so its full view has none to look for
+        if active.mask != (1 << game.n) - 1:
             bits = active.bits().ljust(game.n, "0")  # `w in active` would shift the whole mask
             for v in active:
                 for w in game.succ[v]:

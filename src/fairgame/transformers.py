@@ -7,6 +7,8 @@ the numpy kernel layer underneath is shared with the fixed-point solvers.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .game import EVEN, ODD, Region, SubgameView
@@ -23,6 +25,13 @@ def np_to_region(arr: np.ndarray) -> Region:
     return Region(len(arr), int.from_bytes(packed.tobytes(), "little"))
 
 
+def _edges(rows):
+    """(sources, targets) of the edges in adjacency rows, as int64 arrays in row order."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    targets = np.fromiter(chain.from_iterable(rows), np.int64)
+    return np.arange(len(rows), dtype=np.int64).repeat(lengths), targets
+
+
 class Kernels:
     """Vectorized operators bound to one view (fixed active set).
 
@@ -33,12 +42,14 @@ class Kernels:
 
     def __init__(self, view: SubgameView, use_live: bool = True):
         game = view.game
-        esrc, edst, lsrc, ldst, owner, pri = game.arrays()
+        esrc, edst = _edges(game.succ)
+        lsrc, ldst = _edges(game.live_succ)
+        owner = np.asarray(game.owner, dtype=np.int8)
         n = game.n
         self.n = n
-        self.priority = pri
+        self.priority = np.asarray(game.level, dtype=np.int64)
         self.active = region_to_np(view.active)
-        keep = self.active[esrc] & self.active[edst] if len(esrc) else np.zeros(0, bool)
+        keep = self.active[esrc] & self.active[edst]
         self.esrc = esrc[keep]
         self.edst = edst[keep]
         self.deg = np.bincount(self.esrc, minlength=n).astype(np.float64)

@@ -144,12 +144,10 @@ def _attract(game, tab, player, fair, S, arena, reach, rank, frontier, level):
                         mark[v] = level
                         cands.append(v)
             if fair:
+                # a live edge is an edge, so the loop above made v a candidate
                 for v in live_pred[w]:
                     if v in S and v not in reach:
                         lcnt[v] += 1
-                        if mark[v] != level:
-                            mark[v] = level
-                            cands.append(v)
         touched += cands
         frontier = []
         for v in cands:
@@ -181,12 +179,12 @@ def _rederive(game, player, fair, X, reach, rank, gone, top, tab=None):
     stamps; no stamp exceeds top, and X must be an opponent trap of that
     arena, so the new attractor in X is a subset of reach. Delete and
     re-derive: drop gone, then every vertex whose derivation may have used a
-    dropped one (a higher stamp and an edge to it; live edges are edges),
-    except a player vertex that still has a lower-stamped successor in the
-    set; then re-attract inside the over-deleted set, stamping each layer
-    above top. Returns (over, top): the over-deleted vertices, some of which
-    may be back in reach, and the new bound on the stamps. tab is as in
-    `_safe_reach`.
+    dropped one (a higher stamp and an edge to it; `OddFairGame` makes every
+    live edge an edge), except a player vertex that still has a lower-stamped
+    successor in the set; then re-attract inside the over-deleted set,
+    stamping each layer above top. Returns (over, top): the over-deleted
+    vertices, some of which may be back in reach, and the new bound on the
+    stamps. tab is as in `_safe_reach`.
     """
     owner, succ = game.owner, game.succ
     lost = [u for u in gone if u in reach]

@@ -15,10 +15,10 @@ from fairgame.game import (
     SubgameView,
     least_even_upperbound,
     priority_class,
-    validate,
 )
 from fairgame import game as game_module
-from fairgame.pgfile import ParseError, mutate_liveness, parse_game, random_game
+from fairgame.bench import SOLVER_TAGS, solve_instance
+from fairgame.pgfile import ParseError, mutate_liveness, parse_game, random_game, write_game
 
 from conftest import build_game, small_games
 
@@ -75,11 +75,37 @@ def test_constructor_rejects_bad_input():
         ([0, 1], [1, 2], [[1], [-1, 0]], "successor -1 of vertex 1 out of range"),
         ([0, 1], [1, 2], [[0, -2], [5]], "successor -2 of vertex 0 out of range"),
         ([0, 1], [1, 2], [[7], [-1]], "successor 7 of vertex 0 out of range"),
+        ([], [], [], "a game needs at least one vertex"),
+        ([], [-1], [], "owners, priorities, successors must have equal length"),
+        ([2], [-1], [[]], "priorities must be non-negative"),
+        ([2, 0], [1, 2], [[], [3]], "owner must be 0 (Even) or 1 (Odd)"),
+        ([0, 1, 0], [1, 2, 1], [[1], [], []], "dead end at 1"),
+        ([0, 1], [1, 2], [[], [2]], "successor 2 of vertex 1 out of range"),
     ],
 )
 def test_constructor_names_the_first_violated_check(owners, priorities, succ, message):
     with pytest.raises(ValueError) as exc:
         OddFairGame(owners, priorities, succ)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "succ, live, names, message",
+    [
+        # the live edges come after every other check, in sorted order, each with its first defect
+        ([[0], [1]], [(-1, 1), (0, 0)], None, "live edge (-1, 1) references a nonexistent vertex"),
+        ([[0], [1]], [(1, 1), (1, 0), (0, 9)], None, "live edge (0, 9) references a nonexistent vertex"),
+        ([[0], [0, 1]], [(1, 5), (0, 0)], None, "live edge source owned by Even at 0"),
+        ([[0], [0]], [(1, 2), (1, 1)], None, "live edge (1, 1) not in the edge set"),
+        ([[0], [0, 1]], [(1, 2), (1, 0)], None, "live edge (1, 2) references a nonexistent vertex"),
+        ([[], [0]], [(0, 0), (2, 2)], None, "dead end at 0"),
+        ([[0], [2]], [(0, 0)], None, "successor 2 of vertex 1 out of range"),
+        ([[0], [1]], [(0, 0)], ['"', None], "name of vertex 0 contains '\"'"),
+    ],
+)
+def test_constructor_checks_live_edges_last(succ, live, names, message):
+    with pytest.raises(ValueError) as exc:
+        OddFairGame([0, 1], [1, 2], succ, live, names=names)
     assert str(exc.value) == message
 
 
@@ -90,8 +116,9 @@ def test_constructor_names_the_first_violated_check(owners, priorities, succ, me
         *(([[0], [1]], ["ok", f"a{ch}b"], f"name of vertex 1 contains {ch!r}")
           for ch in "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"),
         ([[0], [1]], ["\u2028", '"'], "name of vertex 0 contains '\\u2028'"),
-        # the name check comes after the four checks above
+        # the name check comes after the four checks above, and before the dead-end check
         ([[0], [2]], [None, 'a"b'], "successor 2 of vertex 1 out of range"),
+        ([[], [1]], [None, 'a"b'], "name of vertex 1 contains '\"'"),
     ],
 )
 def test_constructor_rejects_names_a_game_file_cannot_hold(succ, names, message):
@@ -140,14 +167,14 @@ def test_building_a_game_leaves_the_collector_as_it_found_it(enabled, monkeypatc
 
 
 def test_validate_reports_defects():
-    g = build_game([1, 0], [1, 2], [[0, 1], [1]], live=[(0, 1)])
-    assert validate(g) is None
-    dead = OddFairGame([0], [1], [[]])
-    assert "dead end" in validate(dead)
-    even_src = OddFairGame([0, 0], [1, 2], [[1], [0]], live_edges=[(0, 1)])
-    assert "owned by Even" in validate(even_src)
-    not_edge = OddFairGame([1, 0], [1, 2], [[1], [0]], live_edges=[(0, 0)])
-    assert "not in the edge set" in validate(not_edge)
+    # validation is the constructor's: a game it returns has none of these defects
+    build_game([1, 0], [1, 2], [[0, 1], [1]], live=[(0, 1)])
+    with pytest.raises(ValueError, match="^dead end at 0$"):
+        OddFairGame([0], [1], [[]])
+    with pytest.raises(ValueError, match="^live edge source owned by Even at 0$"):
+        OddFairGame([0, 0], [1, 2], [[1], [0]], live_edges=[(0, 1)])
+    with pytest.raises(ValueError, match=r"^live edge \(0, 0\) not in the edge set$"):
+        OddFairGame([1, 0], [1, 2], [[1], [0]], live_edges=[(0, 0)])
 
 
 @given(st.sets(st.integers(min_value=0, max_value=15)))
@@ -219,8 +246,7 @@ def reference_live(n, live_edges):
     live_pred = [[] for _ in range(n)]
     for v in range(n):
         for w in live_succ[v]:
-            if 0 <= w < n:
-                live_pred[w].append(v)
+            live_pred[w].append(v)
     return live_succ, tuple(tuple(ps) for ps in live_pred), frozenset(live_edges)
 
 
@@ -277,9 +303,36 @@ def test_live_adjacency_matches_reference_on_seeded_games():
     ],
 )
 def test_live_adjacency_matches_reference_on_hand_built_edges(live, message):
+    if message is not None:
+        with pytest.raises(ValueError) as exc:
+            OddFairGame([1, 0], [1, 2], [[0, 1], [1]], live)
+        assert str(exc.value) == message
+        return
     g = OddFairGame([1, 0], [1, 2], [[0, 1], [1]], live)
     assert (g.live_succ, g.live_pred, g.live) == reference_live(2, live)
-    assert validate(g) == message
+
+
+def test_a_game_with_one_random_live_pair_is_rejected_or_solved_alike():
+    # the pair may name a missing vertex, leave an Even vertex or not be an edge
+    rng = random.Random(1)
+    built = 0
+    for _ in range(4000):
+        n = rng.randint(2, 5)
+        owners = [rng.randint(0, 1) for _ in range(n)]
+        priorities = [rng.randint(0, 4) for _ in range(n)]
+        succ = [rng.sample(range(n), rng.randint(1, n)) for _ in range(n)]
+        live = [(rng.randint(-1, n), rng.randint(-1, n))]
+        try:
+            g = OddFairGame(owners, priorities, succ, live)
+        except ValueError:
+            continue
+        built += 1
+        regions = {algo: solve_instance(g, algo, None, False)[:2] for algo in SOLVER_TAGS}
+        assert regions["of-zl"] == regions["of-fp"], (owners, priorities, succ, live)
+        assert regions["n-zl"] == regions["n-fp"], (owners, priorities, succ, live)
+        text = write_game(g)
+        assert write_game(parse_game(text)) == text
+    assert built > 300
 
 
 def reference_scan(region):
@@ -324,9 +377,8 @@ def test_subgame_view_names_the_smallest_dead_end():
 
 
 def test_full_view_of_a_game_with_a_dead_end_names_it():
-    # the full view skips its successor walk only when no vertex dead-ends
-    g = build_game([0, 1, 0, 1], [1, 2, 1, 2], [[1], [2], [], [2, 3]])
-    with pytest.raises(ValueError, match="^restriction creates a dead end at 2$"):
-        SubgameView.full(g)
+    # no game has a dead end, so the full view skips its successor walk
+    with pytest.raises(ValueError, match="^dead end at 2$"):
+        build_game([0, 1, 0, 1], [1, 2, 1, 2], [[1], [2], [], [2, 3]])
     whole = build_game([0, 1], [1, 2], [[1], [0, 1]])
     assert SubgameView.full(whole).active == Region.full(2)

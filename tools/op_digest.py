@@ -6,11 +6,13 @@ Run from the root of a source checkout: the program is imported from ./src
 and the plans are read from ./benchmark/workloads.py, unchanged. Each
 workload's files are built in a temporary directory by the set-up of
 benchmark/run.py, and each operation runs once in-process as `fairgame solve
-FILE --algo A --template`, plus `--certify` where the plan certifies. One
-line per operation gives the SHA-256 of its exit code, stdout and stderr,
-then the workload, the file and the algorithm; the last line hashes all of
-them. The temporary directory's path is masked before hashing. To compare
-two checkouts:
+FILE --algo A --template`, plus `--certify` where the plan certifies. Per
+workload, one line per set-up file, in name order, gives the SHA-256 of its
+bytes, then the workload and the file; then one line per operation gives the
+SHA-256 of its exit code, stdout and stderr, then the workload, the file and
+the algorithm. The last line hashes all of them and counts the operations.
+The temporary directory's path is masked before hashing. To compare two
+checkouts:
 
     (cd parent && python3 /path/to/tools/op_digest.py --seed 11) > a.txt
     python3 tools/op_digest.py --seed 11 > b.txt
@@ -53,17 +55,22 @@ def main(argv=None) -> int:
 
     cli = run.load_program()
     total, count = hashlib.sha256(), 0
+
+    def emit(line):
+        print(line, flush=True)
+        total.update(line.encode() + b"\n")
+
     for name in [args.workload] if args.workload else list(workloads.WORKLOADS):
         plan = workloads.WORKLOADS[name](args.seed)
         extra = ["--certify"] if plan.certify else []
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             run.setup(cli, plan, work, None, 0)
+            for path in sorted(work.iterdir()):
+                emit(f"{hashlib.sha256(path.read_bytes()).hexdigest()} {name} {path.name}")
             for op in plan.ops:
                 h = digest(cli, ["solve", str(work / op.file), "--algo", op.algo, "--template"] + extra, work)
-                line = f"{h} {name} {op.file} {op.algo}"
-                print(line, flush=True)
-                total.update(line.encode() + b"\n")
+                emit(f"{h} {name} {op.file} {op.algo}")
                 count += 1
     print(f"{total.hexdigest()} total {count}")
     return 0
