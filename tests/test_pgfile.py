@@ -4,10 +4,14 @@ from collections import Counter
 
 import pytest
 
+from fairgame import pgfile
 from fairgame.cli import main
-from fairgame.game import ODD, OddFairGame
+from fairgame.game import EVEN, ODD, OddFairGame
 from fairgame.pgfile import (
+    _LAYOUT_MIN,
     ParseError,
+    _parse,
+    _read_layout,
     mutate_liveness,
     mutate_priorities,
     parse_game,
@@ -379,16 +383,22 @@ def _random_game_text(rng, corruptions=()):
 
 def _fields(game):
     return (game.owner, game.original_priority, game.succ, game.live, game.names,
-            game.original_ids, game.level, write_game(game))
+            game.original_ids, game.level, game.pred, game.live_succ, game.live_pred,
+            write_game(game))
 
 
+@pytest.mark.filterwarnings("error")
 def test_parser_matches_reference_on_valid_texts():
     rng = random.Random(1405)
     for i in range(2000):
         text = _random_game_text(rng)
-        assert _fields(parse_game(text)) == _fields(reference_parse_game(text)), (i, text)
+        expected = _fields(reference_parse_game(text))
+        assert _fields(parse_game(text)) == expected, (i, text)
+        fast = _read_layout(text)  # on any text, not only those parse_game hands it
+        assert fast is None or _fields(fast) == expected, (i, text)
 
 
+@pytest.mark.filterwarnings("error")
 def test_parser_reports_the_reference_first_error_on_corrupted_texts():
     rng = random.Random(2807)
     kinds = Counter()
@@ -400,5 +410,108 @@ def test_parser_reports_the_reference_first_error_on_corrupted_texts():
         with pytest.raises(ParseError) as got:
             parse_game(text)
         assert (got.value.line, str(got.value)) == (expected.value.line, str(expected.value)), (i, text)
+        assert _read_layout(text) is None, (i, text)
         kinds[re.sub(r"\d+", "#", str(expected.value).split(": ", 1)[-1])] += 1
     assert len(kinds) == 10, kinds  # each defect, and each live-edge check, comes first somewhere
+
+
+def _layout_game(n, alpha, seed):
+    """A seeded game with some priorities 0 (so the shift applies), successor
+    lists in descending order and live edges at alpha."""
+    base = random_game(n, 6, seed, max_degree=4)
+    priorities = [0 if v % 5 == 0 else p for v, p in enumerate(base.original_priority)]
+    game = OddFairGame(base.owner, priorities, [ws[::-1] for ws in base.succ])
+    return mutate_liveness(game, alpha, seed)
+
+
+def _outcome(parse, text):
+    """The fields of the game `parse` reads from text, or its (line, message)."""
+    try:
+        return _fields(parse(text))
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [0, 50, 100])
+def test_layout_reader_matches_the_line_parser(alpha):
+    for seed in range(4):
+        game = _layout_game(150 + 60 * seed, alpha, seed)
+        text = write_game(game)
+        headless = text.split("\n", 1)[1]
+        assert len(headless) >= _LAYOUT_MIN and (alpha == 0) == (not game.live)
+        for t in (text, headless):
+            fast = _read_layout(t)
+            assert fast is not None
+            assert _fields(fast) == _fields(_parse(t)) == _fields(game)
+
+
+def _near_misses():
+    game = _layout_game(160, 50, 7)
+    text = write_game(game)
+    lines = text.splitlines(keepends=True)
+    first_live = next(i for i, line in enumerate(lines) if line.startswith("live"))
+    u, w = sorted(game.live)[0]
+    non_edge = next(x for x in range(game.n) if x not in game.succ[u])
+    even = game.owner.index(EVEN)
+    sparse = OddFairGame(game.owner, game.original_priority, game.succ, game.live,
+                         original_ids=[2 * v + 1 for v in range(game.n)])
+
+    def record(v, fields):
+        return text.replace(lines[v + 1], " ".join(fields) + ";\n", 1)
+
+    fields = lines[3][:-2].split(" ")  # vertex 2
+    return {
+        # (text, whether the layout reader reads it)
+        "as written": (text, True),
+        "leading zeros": (record(2, ["002"] + fields[1:]), True),
+        "18-digit priority": (record(2, fields[:1] + ["9" * 18] + fields[2:]), True),
+        "duplicated live line": (text + lines[first_live], True),
+        "crlf": (text.replace("\n", "\r\n"), False),
+        "no final newline": (text[:-1], False),
+        "trailing space": (text.replace(lines[3], lines[3][:-1] + " \n", 1), False),
+        "tab": (record(2, fields[:1] + ["\t".join(fields[1:3])] + fields[3:]), False),
+        "blank line": (text.replace("\n", "\n\n", 1), False),
+        "one name": (record(2, fields + ['"x"']), False),
+        "unicode digit": (record(2, fields[:1] + ["\uff17"] + fields[2:]), False),
+        "sparse ids": (write_game(sparse), False),
+        "ids out of order": ("".join(lines[:3] + [lines[4], lines[3]] + lines[5:]), False),
+        "live line before a record": ("".join(lines[:1] + lines[first_live:first_live + 1] + lines[1:]), False),
+        "19-digit priority": (record(2, fields[:1] + ["1" * 19] + fields[2:]), False),
+        "owner 2": (record(2, fields[:2] + ["2"] + fields[3:]), False),
+        "successor equal to n": (record(2, fields[:3] + [f"{game.n}"]), False),
+        "live non-edge": (text + f"live {u} {non_edge};\n", False),
+        "live source owned by Even": (text + f"live {even} {game.succ[even][0]};\n", False),
+        "live target out of range": (text + f"live {u} {game.n};\n", False),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_near_misses()))
+def test_layout_reader_near_misses(case):
+    text, read = _near_misses()[case]
+    assert len(text) >= _LAYOUT_MIN
+    expected = _outcome(reference_parse_game, text)
+    assert _outcome(parse_game, text) == _outcome(_parse, text) == expected
+    fast = _read_layout(text)
+    assert (fast is not None) == read
+    if read:
+        assert _fields(fast) == expected
+
+
+def test_parse_game_hands_large_layout_texts_to_the_layout_reader(monkeypatch):
+    large = write_game(_layout_game(120, 50, 3))
+    small = write_game(_layout_game(20, 50, 3))
+    named = large.replace(";\n1 ", ' "v";\n1 ', 1)  # a name on vertex 0
+    assert len(small) < _LAYOUT_MIN <= len(large)
+    assert parse_game(named).names[:2] == ("v", None)
+    expected = _fields(parse_game(large))
+
+    def line_parser(text):
+        raise LookupError("line parser")
+
+    monkeypatch.setattr(pgfile, "_parse", line_parser)
+    assert _fields(parse_game(large)) == _fields(parse_game(large.encode())) == expected
+    for text in (small, named):
+        with pytest.raises(LookupError):
+            parse_game(text)
