@@ -1,11 +1,11 @@
 """Command line surface.
 
 `solve` and `check` run one path: load the file; under the classical `n-*`
-tags, which ignore live edges, drop them, so that templates are built and
-certified on the game those solvers play; solve through
-`bench.solve_instance`; certify. `check` is `solve --certify` without the
-printed regions. A given `--timeout` is always a deadline, `--timeout 0`
-included.
+tags, which ignore live edges, drop them (a derived game sharing the parsed
+structure, not a second build), so that templates are built and certified
+on the game those solvers play; solve through `bench.solve_instance`;
+certify. `check` is `solve --certify` without the printed regions. A given
+`--timeout` is always a deadline, `--timeout 0` included.
 
 Exit codes: 0 success, 1 input or usage error, 2 certification failure,
 3 solver timeout, 4 internal error.

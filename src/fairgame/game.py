@@ -4,12 +4,13 @@ Vertices are dense 0-based ints internally; original input ids and optional
 names are kept for output. Priorities are normalized to be >= 1 (a uniform +2
 shift is applied iff any input priority is 0, which preserves parity). The
 solvers run on levels, a dense relabelling of the normalized priorities that
-keeps their order and parity. A game is valid once its constructor returns,
-and the solvers, views and `write_game` rely on that.
+keeps their order and parity. A game is valid once its constructor or a
+derivation returns, and the solvers, views and `write_game` rely on that.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import time
 from contextlib import contextmanager
@@ -160,7 +161,8 @@ class OddFairGame:
     The constructor raises ValueError on the first defect: no vertex, a
     successor out of range, a name no game file can hold, a dead end, or a
     live edge that is no edge out of an Odd vertex. So every game it builds
-    round-trips through `write_game` and `parse_game`.
+    round-trips through `write_game` and `parse_game`. `with_live` and
+    `with_priorities` share the structure and check only their new column.
     """
 
     def __init__(
@@ -178,20 +180,12 @@ class OddFairGame:
         if n == 0:
             raise ValueError("a game needs at least one vertex")
         with gc_paused():
-            self.original_priority = tuple(priorities)
-            if min(self.original_priority) < 0:
-                raise ValueError("priorities must be non-negative")
+            self._set_priorities(priorities)
             self.owner = tuple(owners)
             if self.owner.count(EVEN) + self.owner.count(ODD) != n:
                 raise ValueError("owner must be 0 (Even) or 1 (Odd)")
             self.n = n
-            self.shift = 2 if 0 in self.original_priority else 0
-            self.priority = (
-                tuple(p + self.shift for p in priorities) if self.shift else self.original_priority
-            )
-            self.level = _dense_levels(self.priority)
             self.succ = tuple(map(tuple, successors))
-            self.live = frozenset((u, w) for (u, w) in live_edges)
             self.names = tuple(names) if names is not None else (None,) * n
             self.original_ids = tuple(original_ids) if original_ids is not None else tuple(range(n))
             edges = chain.from_iterable
@@ -203,30 +197,59 @@ class OddFairGame:
                 raise ValueError(f"name of vertex {v} contains {ch!r}")
             if not all(self.succ):
                 raise ValueError(f"dead end at {self.succ.index(())}")
-            by_source, by_target = {}, {}
-            for u, w in sorted(self.live):
-                if not (0 <= u < n and 0 <= w < n):
-                    raise ValueError(f"live edge ({u}, {w}) references a nonexistent vertex")
-                if self.owner[u] != ODD:
-                    raise ValueError(f"live edge source owned by Even at {u}")
-                if u not in by_source:  # a set: one tuple scan per live edge is quadratic in the degree
-                    by_source[u], edges_of_u = [], set(self.succ[u])
-                if w not in edges_of_u:
-                    raise ValueError(f"live edge ({u}, {w}) not in the edge set")
-                by_source[u].append(w)
-                by_target.setdefault(w, []).append(u)
-            # vertices without live edges share the empty tuple
-            live_succ, live_pred = [()] * n, [()] * n
-            for u, ws in by_source.items():
-                live_succ[u] = tuple(ws)
-            for w, us in by_target.items():
-                live_pred[w] = tuple(us)
-            self.live_succ, self.live_pred = tuple(live_succ), tuple(live_pred)
+            self._set_live(live_edges)
             pred = [[] for _ in range(n)]
             for v, ws in enumerate(self.succ):
                 for w in ws:
                     pred[w].append(v)
             self.pred = tuple(map(tuple, pred))
+
+    def with_live(self, live_edges: Iterable[tuple]) -> "OddFairGame":
+        """This game with `live_edges` in place of its own, which alone are checked."""
+        return self._derive(OddFairGame._set_live, live_edges)
+
+    def with_priorities(self, priorities: Sequence[int]) -> "OddFairGame":
+        """This game with other input priorities, which alone are checked."""
+        if len(priorities) != self.n:
+            raise ValueError("owners, priorities, successors must have equal length")
+        return self._derive(OddFairGame._set_priorities, priorities)
+
+    def _derive(self, block, column) -> "OddFairGame":
+        game = copy.copy(self)  # shares every tuple the block does not replace
+        with gc_paused():
+            block(game, column)
+        return game
+
+    def _set_priorities(self, priorities: Sequence[int]) -> None:
+        self.original_priority = tuple(priorities)
+        if min(self.original_priority) < 0:
+            raise ValueError("priorities must be non-negative")
+        self.shift = 2 if 0 in self.original_priority else 0
+        self.priority = tuple(p + 2 for p in priorities) if self.shift else self.original_priority
+        self.level = _dense_levels(self.priority)
+
+    def _set_live(self, live_edges: Iterable[tuple]) -> None:
+        n = self.n
+        self.live = frozenset((u, w) for (u, w) in live_edges)
+        by_source, by_target = {}, {}
+        for u, w in sorted(self.live):
+            if not (0 <= u < n and 0 <= w < n):
+                raise ValueError(f"live edge ({u}, {w}) references a nonexistent vertex")
+            if self.owner[u] != ODD:
+                raise ValueError(f"live edge source owned by Even at {u}")
+            if u not in by_source:  # a set: one tuple scan per live edge is quadratic in the degree
+                by_source[u], edges_of_u = [], set(self.succ[u])
+            if w not in edges_of_u:
+                raise ValueError(f"live edge ({u}, {w}) not in the edge set")
+            by_source[u].append(w)
+            by_target.setdefault(w, []).append(u)
+        # vertices without live edges share the empty tuple
+        live_succ, live_pred = [()] * n, [()] * n
+        for u, ws in by_source.items():
+            live_succ[u] = tuple(ws)
+        for w, us in by_target.items():
+            live_pred[w] = tuple(us)
+        self.live_succ, self.live_pred = tuple(live_succ), tuple(live_pred)
 
     # -- structural queries ------------------------------------------------
 

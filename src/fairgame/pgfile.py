@@ -234,44 +234,29 @@ def mutate_liveness(game: OddFairGame, alpha, seed: int) -> OddFairGame:
     out-degree d, max(1, floor(alpha% of d)) of its edges as live.
 
     Existing live edges are discarded. Selection is prefix-stable: the same
-    seed with a larger alpha yields a superset of live edges.
+    seed with a larger alpha yields a superset of live edges. The result is
+    `game.with_live(...)`, or the game itself at alpha 0 if it has none.
     """
     if not 0 <= alpha <= 100:
         raise ValueError("alpha must be in [0, 100]")
     if alpha == 0:
-        if not game.live:
-            return game
-        return OddFairGame(
-            game.owner, game.original_priority, game.succ, (),
-            game.names, game.original_ids,
-        )
-    odd_vertices = [v for v in range(game.n) if game.owner[v] == ODD]
-    k = _floor_percent(alpha, len(odd_vertices))
-    master = SplitMix64(seed)
-    selected = master.shuffle_prefix(list(odd_vertices), k)[:k]
+        return game.with_live(()) if game.live else game
+    odd = [v for v in range(game.n) if game.owner[v] == ODD]
+    picked = SplitMix64(seed).sample(len(odd), _floor_percent(alpha, len(odd)))
     live = []
-    for v in sorted(selected):
-        d = len(game.succ[v])
-        m = max(1, _floor_percent(alpha, d))
-        picks = SplitMix64(derive_seed(seed, v)).sample(d, m)
-        for i in picks:
-            live.append((v, game.succ[v][i]))
-    return OddFairGame(
-        game.owner, game.original_priority, game.succ, live,
-        game.names, game.original_ids,
-    )
+    for v in sorted(odd[i] for i in picked):
+        ws = game.succ[v]
+        picks = SplitMix64(derive_seed(seed, v)).sample(len(ws), max(1, _floor_percent(alpha, len(ws))))
+        live.extend((v, ws[i]) for i in picks)
+    return game.with_live(live)
 
 
 def mutate_priorities(game: OddFairGame, p: int, seed: int) -> OddFairGame:
-    """Redraw every priority independently and uniformly from {1, ..., p}."""
+    """Redraw every priority independently and uniformly from {1, ..., p}; the structure is shared."""
     if p < 1:
         raise ValueError("p must be >= 1")
     g = SplitMix64(seed)
-    priorities = [1 + g.below(p) for _ in range(game.n)]
-    return OddFairGame(
-        game.owner, priorities, game.succ, sorted(game.live),
-        game.names, game.original_ids,
-    )
+    return game.with_priorities([1 + g.below(p) for _ in range(game.n)])
 
 
 def random_game(

@@ -34,27 +34,17 @@ class SplitMix64:
             if x < limit:
                 return x % bound
 
-    def shuffle_prefix(self, items: list, k: int) -> list:
-        """Partial Fisher-Yates: the first k entries become a uniform sample
-        without replacement. The produced prefix is stable under growing k
-        with the same generator state, which is what makes liveness mutation
-        monotone in alpha."""
-        n = len(items)
-        for i in range(min(k, n - 1)):
-            j = i + self.below(n - i)
-            items[i], items[j] = items[j], items[i]
-        return items
-
     def sample(self, n: int, k: int) -> list:
-        """The first k entries of shuffle_prefix(list(range(n)), k) from the same
-        draws, without building the list: a dict holds the displaced entries."""
+        """The first min(k, n) entries of a partial Fisher-Yates shuffle of range(n);
+        a dict holds the displaced ones. A larger k from the same state extends
+        the same picks, which makes liveness mutation monotone in alpha."""
         moved = {}
         picks = []
         for i in range(min(k, n - 1)):
             j = i + self.below(n - i)
             picks.append(moved.get(j, j))
             moved[j] = moved.get(i, i)
-        if 0 < n <= k:  # shuffle_prefix leaves the last entry in place
+        if 0 < n <= k:  # the shuffle leaves the last entry in place
             picks.append(moved.get(n - 1, n - 1))
         return picks
 

@@ -342,7 +342,7 @@ def _solve(ctx: _Ctx, X: Set[int]):
     game, choice, tab = ctx.game, ctx.choice, ctx.tab
     level = game.level
     win = [set(), set()]
-    arena = set(X) if ctx.check else None  # for the final trap checks
+    size = len(X)  # the final checks rebuild the arena from the win sets
     while X:
         top = max(level[v] for v in X)
         lam = top % 2
@@ -411,6 +411,8 @@ def _solve(ctx: _Ctx, X: Set[int]):
         win[opp] |= removed
         break
     if ctx.check:
+        arena = win[EVEN] | win[ODD]
+        assert len(arena) == len(win[EVEN]) + len(win[ODD]) == size, "the win sets do not tile the arena"
         _check_trap(game, EVEN, win[ODD], arena)
         _check_trap(game, ODD, win[EVEN], arena)
     return win

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import settings
 
 from fairgame import cli
 from fairgame.game import OddFairGame, SubgameView
-from fairgame.pgfile import mutate_liveness, random_game
+from fairgame.pgfile import mutate_liveness, random_game, write_game
 from fairgame.templates import EvenStrategy
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
@@ -14,6 +16,26 @@ EX1_NAMES = ["1a", "2a", "2b", "2c", "3a", "3b", "4a"]
 
 def build_game(owners, priorities, succ, live=(), names=None):
     return OddFairGame(owners, priorities, succ, live, names=names)
+
+
+GAME_FIELDS = ("owner", "original_priority", "shift", "priority", "level", "succ", "pred",
+               "live", "live_succ", "live_pred", "names", "original_ids")
+
+
+def game_fields(game) -> dict:
+    """Every field of a game by name, and its `write_game` text."""
+    return {**{f: getattr(game, f) for f in GAME_FIELDS}, "text": write_game(game)}
+
+
+def varied_game(seed: int, n: int = 40) -> OddFairGame:
+    """A seeded game with sparse ids, some names and live edges; on even
+    seeds some priorities are 0, so the shift applies."""
+    rng = random.Random(seed)
+    base = mutate_liveness(random_game(n, 6, seed, max_degree=4), 60, seed)
+    priorities = [0 if seed % 2 == 0 and rng.random() < 0.2 else p for p in base.original_priority]
+    names = [f"v{v}" if rng.random() < 0.3 else None for v in range(n)]
+    ids = sorted(rng.sample(range(5 * n), n))
+    return OddFairGame(base.owner, priorities, base.succ, base.live, names, ids)
 
 
 def make_ex1() -> OddFairGame:

@@ -10,6 +10,7 @@ import fairgame
 from fairgame import bench, cli, fixpoint
 from fairgame.bench import CSV_HEADER, SOLVER_TAGS, run_instance, solve_instance
 from fairgame.cli import main
+from fairgame.game import OddFairGame
 from fairgame.pgfile import mutate_liveness, parse_game, random_game, write_game
 
 from conftest import REDIRECT_GAME, make_ex1, make_g3, redirect_one_even_choice
@@ -338,6 +339,32 @@ def test_one_fixed_point_solve_per_operation(ex1_file, monkeypatch, capsys, algo
         calls.clear()
         assert main(argv) == 0
         assert len(calls) == 1, (argv, calls)
+    capsys.readouterr()
+
+
+def test_mutate_and_classical_solves_build_only_the_parsed_game(tmp_path, monkeypatch, capsys):
+    # the mutators and the live-free reading derive their games from the parsed one
+    path = tmp_path / "live.gm"
+    path.write_text(write_game(mutate_liveness(random_game(30, 4, 8), 50, 8)))
+    out = str(tmp_path / "out.gm")
+    builds = []
+    init = OddFairGame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(len(args[0]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OddFairGame, "__init__", counting_init)
+    for argv in (
+        ["mutate", str(path), "--liveness", "50", "--seed", "3", "-o", out],
+        ["mutate", str(path), "--liveness", "30", "--priorities", "6", "--seed", "3", "-o", out],
+        ["mutate", str(path), "--liveness", "0", "-o", out],
+        ["solve", str(path), "--algo", "n-zl", "--template"],
+        ["check", str(path), "--algo", "n-fp"],
+    ):
+        builds.clear()
+        assert main(argv) == 0
+        assert builds == [30], argv
     capsys.readouterr()
 
 

@@ -20,7 +20,7 @@ from fairgame import game as game_module
 from fairgame.bench import SOLVER_TAGS, solve_instance
 from fairgame.pgfile import ParseError, mutate_liveness, parse_game, random_game, write_game
 
-from conftest import build_game, small_games
+from conftest import build_game, game_fields, small_games, varied_game
 
 
 def test_priority_shift_applied_only_when_zero_present():
@@ -81,11 +81,20 @@ def test_constructor_rejects_bad_input():
         ([2, 0], [1, 2], [[], [3]], "owner must be 0 (Even) or 1 (Odd)"),
         ([0, 1, 0], [1, 2, 1], [[1], [], []], "dead end at 1"),
         ([0, 1], [1, 2], [[], [2]], "successor 2 of vertex 1 out of range"),
+        ([0, 1], [1, 2, 3], [[1], [0]], "owners, priorities, successors must have equal length"),
+        ([0, 1], [-1, 0], [[1], [0]], "priorities must be non-negative"),
     ],
 )
 def test_constructor_names_the_first_violated_check(owners, priorities, succ, message):
     with pytest.raises(ValueError) as exc:
         OddFairGame(owners, priorities, succ)
+    assert str(exc.value) == message
+    try:
+        base = OddFairGame(owners, [1] * len(owners), succ)
+    except ValueError:  # a defect of the structure, which no derivation meets
+        return
+    with pytest.raises(ValueError) as exc:
+        base.with_priorities(priorities)
     assert str(exc.value) == message
 
 
@@ -107,6 +116,13 @@ def test_constructor_checks_live_edges_last(succ, live, names, message):
     with pytest.raises(ValueError) as exc:
         OddFairGame([0, 1], [1, 2], succ, live, names=names)
     assert str(exc.value) == message
+    try:
+        base = OddFairGame([0, 1], [1, 2], succ, names=names)
+    except ValueError:  # a defect of the structure, which no derivation meets
+        return
+    with pytest.raises(ValueError) as exc:
+        base.with_live(live)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -127,6 +143,32 @@ def test_constructor_rejects_names_a_game_file_cannot_hold(succ, names, message)
     with pytest.raises(ValueError) as exc:
         OddFairGame([0, 1], [1, 2], succ, names=names)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_derivations_match_a_from_scratch_build(seed):
+    g = varied_game(seed)
+    before = game_fields(g)
+    rng = random.Random(seed)
+    other = sorted(mutate_liveness(g, 100, seed + 1).live)
+    rng.shuffle(other)
+    for live in ((), sorted(g.live), other, other + other[:5]):
+        expected = game_fields(OddFairGame(g.owner, g.original_priority, g.succ, live, g.names, g.original_ids))
+        for h in (g.with_live(live), g.with_live(iter(live))):
+            assert game_fields(h) == expected
+            assert h.succ is g.succ and h.pred is g.pred and h.level is g.level
+    for zeros in (False, True):  # the shift goes away or comes in
+        priorities = [rng.randint(0 if zeros else 1, 9) for _ in range(g.n)]
+        expected = game_fields(OddFairGame(g.owner, priorities, g.succ, g.live, g.names, g.original_ids))
+        h = g.with_priorities(priorities)
+        assert game_fields(h) == expected
+        assert h.succ is g.succ and h.pred is g.pred and h.live_succ is g.live_succ
+        both = h.with_live(other)
+        assert game_fields(both) == game_fields(
+            OddFairGame(g.owner, priorities, g.succ, other, g.names, g.original_ids)
+        )
+        assert both.succ is g.succ and both.pred is g.pred
+    assert game_fields(g) == before  # the source is left as it was
 
 
 def test_rejected_name_characters_are_the_quote_and_every_line_break():

@@ -20,7 +20,7 @@ from fairgame.pgfile import (
 )
 from fairgame.rng import SplitMix64, derive_seed
 
-from conftest import make_ex1
+from conftest import game_fields, make_ex1, varied_game
 
 
 def test_write_parse_roundtrip_byte_exact(ex1):
@@ -115,6 +115,18 @@ def test_random_game_is_wellformed_and_deterministic():
         assert h.succ == g.succ and h.owner == g.owner and h.priority == g.priority
 
 
+def shuffle_prefix(g: SplitMix64, items: list, k: int) -> list:
+    """Partial Fisher-Yates: the first k entries become a uniform sample
+    without replacement. The produced prefix is stable under growing k
+    with the same generator state, which is what makes liveness mutation
+    monotone in alpha."""
+    n = len(items)
+    for i in range(min(k, n - 1)):
+        j = i + g.below(n - i)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
 def reference_random_game(n, priorities, seed, min_degree=1, max_degree=3):
     """random_game as first written: a full list of targets shuffled per vertex."""
     max_degree = min(max_degree, n)
@@ -126,7 +138,7 @@ def reference_random_game(n, priorities, seed, min_degree=1, max_degree=3):
     for v in range(n):
         d = min_degree + g.below(max_degree - min_degree + 1)
         pool = list(range(n))
-        picks = SplitMix64(derive_seed(seed, (v << 1) | 1)).shuffle_prefix(pool, d)[:d]
+        picks = shuffle_prefix(SplitMix64(derive_seed(seed, (v << 1) | 1)), pool, d)[:d]
         succs.append(sorted(picks))
     return OddFairGame(owners, pris, succs)
 
@@ -156,7 +168,7 @@ def test_sample_is_the_shuffled_prefix():
         for k in range(10):
             for seed in range(12):
                 a, b = SplitMix64(seed), SplitMix64(seed)
-                assert a.sample(n, k) == b.shuffle_prefix(list(range(n)), k)[:k]
+                assert a.sample(n, k) == shuffle_prefix(b, list(range(n)), k)[:k]
                 assert a.state == b.state
 
 
@@ -210,6 +222,42 @@ def test_mutate_priorities_range_and_determinism():
     assert all(1 <= p <= 7 for p in m.original_priority)
     assert m.succ == g.succ and m.owner == g.owner
     assert mutate_priorities(g, 7, seed=4).original_priority == m.original_priority
+
+
+def reference_mutate_liveness(game, alpha, seed):
+    """mutate_liveness as first written: a shuffled list of the Odd vertices,
+    and the game built again through the constructor."""
+    odd_vertices = [v for v in range(game.n) if game.owner[v] == ODD]
+    k = pgfile._floor_percent(alpha, len(odd_vertices))
+    selected = shuffle_prefix(SplitMix64(seed), list(odd_vertices), k)[:k]
+    live = []
+    for v in sorted(selected):
+        d = len(game.succ[v])
+        picks = SplitMix64(derive_seed(seed, v)).sample(d, max(1, pgfile._floor_percent(alpha, d)))
+        live.extend((v, game.succ[v][i]) for i in picks)
+    return OddFairGame(game.owner, game.original_priority, game.succ, live, game.names, game.original_ids)
+
+
+def reference_mutate_priorities(game, p, seed):
+    """mutate_priorities as first written: the game built again through the constructor."""
+    g = SplitMix64(seed)
+    priorities = [1 + g.below(p) for _ in range(game.n)]
+    return OddFairGame(game.owner, priorities, game.succ, sorted(game.live), game.names, game.original_ids)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mutators_match_a_from_scratch_build(seed):
+    g = varied_game(seed, 60)
+    for alpha in (0, 1, 30, 50, 66.6, 100):
+        m = mutate_liveness(g, alpha, seed)
+        assert game_fields(m) == game_fields(reference_mutate_liveness(g, alpha, seed)), alpha
+        assert m.succ is g.succ and m.pred is g.pred and m.level is g.level
+    for p in (1, 2, 7):
+        m = mutate_priorities(g, p, seed)
+        assert game_fields(m) == game_fields(reference_mutate_priorities(g, p, seed)), p
+        assert m.succ is g.succ and m.pred is g.pred and m.live_succ is g.live_succ
+    plain = mutate_liveness(g, 0, seed)
+    assert mutate_liveness(plain, 0, seed + 1) is plain  # nothing to strip: the same object
 
 
 def test_mutated_games_roundtrip_through_the_format():
@@ -515,3 +563,30 @@ def test_parse_game_hands_large_layout_texts_to_the_layout_reader(monkeypatch):
     for text in (small, named):
         with pytest.raises(LookupError):
             parse_game(text)
+
+
+_EDIT_CHARS = '0123456789 \t,;\n\rl"'
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_character_edits_of_layout_texts_read_as_the_reference():
+    rng = random.Random(4051)
+    read = handed_on = 0
+    for alpha in (0, 50, 100):
+        for seed in range(3):
+            text = write_game(_layout_game(140 + 40 * seed, alpha, seed))
+            assert len(text) > _LAYOUT_MIN  # one deletion leaves it at the threshold or above
+            for _ in range(120):
+                kind = rng.choice(["insert", "delete", "replace"])
+                i = rng.randrange(len(text) + (kind == "insert"))
+                ch = rng.choice(_EDIT_CHARS)
+                edited = text[:i] + (ch if kind != "delete" else "") + text[i + (kind != "insert"):]
+                expected = _outcome(reference_parse_game, edited)
+                assert _outcome(parse_game, edited) == expected, (alpha, seed, kind, i, ch)
+                fast = _read_layout(edited)
+                if fast is None:
+                    handed_on += 1
+                else:
+                    read += 1
+                    assert _fields(fast) == expected, (alpha, seed, kind, i, ch)
+    assert read > 100 and handed_on > 100, (read, handed_on)

@@ -216,17 +216,22 @@ def test_chain_of_nested_classes_solves_past_the_recursion_limit(tmp_path, capsy
 
 def test_chain_memory_is_linear_in_the_nesting_depth():
     # a frame that kept its own copy of its arena would hold O(n) at each of n depths: 3.8x per doubling
-    for solver, live in ((solve_zielonka_fair, True), (solve_zielonka_normal, False)):
+    for solver, live, check in (
+        (solve_zielonka_fair, True, False),
+        (solve_zielonka_normal, False, False),
+        (solve_zielonka_fair, True, True),  # check mode's trap checks too
+        (solve_zielonka_normal, False, True),
+    ):
         peaks = []
         for n in (400, 800):
             view = SubgameView.full(chain(n, live))
             tracemalloc.start()
             try:
-                solver(view, extract=True)
+                solver(view, extract=True, check=check)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 2.5 * peaks[0], (solver.__name__, peaks)
+        assert peaks[1] <= 2.5 * peaks[0], (solver.__name__, check, peaks)
 
 
 def test_extraction_artifacts_validate():
