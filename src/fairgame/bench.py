@@ -54,11 +54,12 @@ class BenchRecord:
         )
 
 
-def solve_instance(game, algo, deadline, want_artifacts):
+def solve_instance(game, algo, deadline, want_artifacts, want_ranks=True):
     """Returns (w_even, w_odd, template, strategy, odd_trace) of solver tag algo.
 
-    odd_trace is the fixed-point trace, with ranks, under `*-fp` and None
-    under `*-zl`; template and strategy are None unless want_artifacts.
+    odd_trace is the fixed-point trace under `*-fp` and None under `*-zl`; it
+    records ranks when want_ranks or want_artifacts (the template is built
+    from them). template and strategy are None unless want_artifacts.
     """
     if algo not in SOLVER_TAGS:
         raise ValueError(f"unknown solver tag {algo!r}")
@@ -71,7 +72,8 @@ def solve_instance(game, algo, deadline, want_artifacts):
         w_even, w_odd = art.win_even, art.win_odd
         template, strategy = art.odd_template, art.even_strategy
     else:
-        w_odd, trace = solve_odd_fp(view, use_live=use_live, deadline=deadline)
+        ranks = want_ranks or want_artifacts
+        w_odd, trace = solve_odd_fp(view, use_live=use_live, ranks=ranks, deadline=deadline)
         w_even = w_odd.complement()
         if want_artifacts:
             template = build_rank_template(view, w_odd, extract_ranks(trace))
@@ -98,7 +100,7 @@ def run_instance(path: str, solver: str, timeout: Optional[float]) -> BenchRecor
     win_even = win_odd = None
     t0 = time.perf_counter()
     try:
-        w_even, w_odd = solve_instance(game, solver, deadline, False)[:2]
+        w_even, w_odd = solve_instance(game, solver, deadline, False, False)[:2]
         win_even, win_odd = len(w_even), len(w_odd)
     except SolverTimeout:
         status = "timeout"

@@ -17,11 +17,21 @@ in the iteration of each enclosing mu variable where the vertex entered it.
 Those indices are the rank components used to build strategy templates:
 component order is outermost level first.
 
-Each iterate is counted once: `_run` keys what the terms read of a variable
-(the `cpre` of its edge count, then the live-edge operator of an X or the
-part of its term that a Y decides alone) by the variable's version, which
-moves at every reset and iterate. A reset value needs no count: no edge
-enters the empty set, and `Kernels.deg` edges enter the active set.
+Each distinct value is counted once as it passes between levels: `_run`
+keys what the terms read of a variable (the `cpre` of its edge count, then
+the live-edge operator of an X or the part of its term that a Y decides
+alone) by the variable's version, which moves at every reset and iterate.
+On a version miss it compares the operand with the value it counted last,
+byte for byte, and reuses that value's `cpre` and live-edge operator when
+they are equal. One entry suffices for these repeats: a variable takes as
+its next iterate the fixed point that the level below has just confirmed,
+the very value counted in that level's last pass, so on the 1000-rung
+ladders every repeat is of the operand counted just before it. A value that
+comes back later (on random games, when an inner variable re-runs after its
+reset the chain of iterates it ran before) is counted again, and the memo
+stays one n-byte key and two masks however many iterates a solve makes. A
+reset value needs no count: no edge enters the empty set, and `Kernels.deg`
+edges enter the active set.
 """
 
 from __future__ import annotations
@@ -105,6 +115,8 @@ def _run(
     # cpre_of and live of the reset values, the empty set (count_in zero) and the active set (K.deg)
     start = {True: (K.cpre_of(side, np.zeros(n)), live(np.zeros(n, bool))),
              False: (K.cpre_of(side, K.deg), live(active))}
+    # bytes, cpre_of and live (None until an X asks) of the value counted last
+    last: list = [None, None, None]
 
     recorded = evens if side == ODD else list(range(1, l + 1, 2))
     comp: Optional[Dict[int, np.ndarray]] = None
@@ -117,12 +129,20 @@ def _run(
     def part(k: int, reset: Optional[tuple] = None) -> tuple:
         # (ver[k], cpre_of(side, count_in(var[k])), then live(var[k]) for an X
         # or for a Y its own part of term k, which reads no X), once per
-        # iterate; reset holds cpre_of and live of a reset value
-        hit = parts.get(k)
-        if reset is None and hit[0] == ver[k]:
-            return hit
-        x = var[k]
-        p, lx = reset or (K.cpre_of(side, K.count_in(x)), live(x) if k % 2 else None)
+        # version; a new version of the value counted last reuses its count
+        # and live operator; reset holds cpre_of and live of a reset value
+        if reset is None:
+            hit = parts[k]
+            if hit[0] == ver[k]:
+                return hit
+            x = var[k]
+            key = x.tobytes()
+            if key != last[0]:
+                last[:] = key, K.cpre_of(side, K.count_in(x)), None
+            if k % 2 and last[2] is None:
+                last[2] = live(x)
+            reset = last[1], last[2]
+        p, lx = reset
         parts[k] = (ver[k], p, lx if k % 2 else base[k] | (C[k] & p))
         return parts[k]
 
@@ -154,14 +174,14 @@ def _run(
             newval = eval_level(k - 1) if k > 1 else reduce(join, map(term, evens))
             moved = newval ^ var[k]
             if mu:
-                assert not (moved & var[k]).any(), "mu iterate shrank"
+                assert not np.count_nonzero(moved & var[k]), "mu iterate shrank"
             else:
-                assert not (moved & newval).any(), "nu iterate grew"
+                assert not np.count_nonzero(moved & newval), "nu iterate grew"
             it = counters[k] + 1
             if snaps is not None:
                 ctx = tuple(counters[kk] for kk in range(l, k, -1))
                 snaps[(_var_name(k), ctx + (it,))] = np_to_region(newval)
-            changed = moved.any()
+            changed = np.count_nonzero(moved) > 0
             if mu and changed and comp is not None:
                 comp[k][newval & (comp[k] < 0)] = it
             var[k] = newval

@@ -256,6 +256,50 @@ def test_bench_rows_match_the_solve_entry(tmp_path, algo):
         assert full[2] is not None and full[3] is not None
 
 
+def test_only_callers_that_read_ranks_record_them(ex1_file, tmp_path, monkeypatch, capsys):
+    asked = []
+    solve = bench.solve_odd_fp
+
+    def recording(view, **kwargs):
+        asked.append(kwargs["ranks"])
+        return solve(view, **kwargs)
+
+    monkeypatch.setattr(bench, "solve_odd_fp", recording)
+    corpus = make_corpus(tmp_path)
+    csv = tmp_path / "bench.csv"
+    runs = {
+        ("solve", ex1_file, "--algo", "of-fp"): [False],
+        ("solve", ex1_file, "--algo", "n-fp"): [False],
+        ("solve", ex1_file, "--algo", "of-fp", "--timeout", "0"): [False],
+        ("solve", ex1_file, "--algo", "of-fp", "--ranks"): [True],
+        ("solve", ex1_file, "--algo", "of-zl", "--ranks"): [True],
+        ("solve", ex1_file, "--algo", "n-fp", "--template"): [True],
+        ("solve", ex1_file, "--algo", "of-fp", "--certify"): [True],
+        ("check", ex1_file, "--algo", "of-fp"): [True],
+        ("bench", str(corpus), "--algos", "of-fp,n-fp,of-zl", "--out", str(csv)): [False] * 4,
+    }
+    seen = {}
+    for argv, want in runs.items():
+        asked.clear()
+        code = main(list(argv))
+        seen[argv] = (code, capsys.readouterr(), csv.read_text() if argv[0] == "bench" else None)
+        assert asked == want, argv
+    assert seen[("solve", ex1_file, "--algo", "of-fp", "--timeout", "0")][0] == 3
+    assert seen[("check", ex1_file, "--algo", "of-fp")][0] == 0
+
+    def untimed(text):
+        return [row.split(",")[:6] + row.split(",")[7:] for row in text.splitlines()]
+
+    # the same printed lines, exit codes and CSV (header included) with ranks recorded
+    monkeypatch.setattr(bench, "solve_odd_fp", lambda view, **kwargs: solve(view, **{**kwargs, "ranks": True}))
+    for argv, (code, out, text) in seen.items():
+        assert main(list(argv)) == code, argv
+        assert capsys.readouterr() == out, argv
+        if text is not None:
+            assert text.splitlines()[0] == CSV_HEADER
+            assert untimed(csv.read_text()) == untimed(text)
+
+
 def test_module_entry_leaves_stderr_empty():
     env = dict(os.environ, PYTHONPATH=str(Path(fairgame.__file__).parents[1]))
     proc = subprocess.run(

@@ -1,14 +1,23 @@
 import gc
 import hashlib
+from functools import reduce
+from itertools import product
+from typing import Dict, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from fairgame.bench import SOLVER_TAGS, solve_instance
 from fairgame.certify import certify_partition
 from fairgame.cli import _played_game
-from fairgame.game import EVEN, ODD, Deadline, Region, SolverTimeout, SubgameView
-from fairgame.fixpoint import extract_ranks, m_set, solve_even_fp, solve_odd_fp
+from fairgame.game import (
+    EVEN, ODD, Deadline, Region, SolverTimeout, SubgameView, least_even_upperbound,
+)
+from fairgame.fixpoint import (
+    FpTrace, _run, _var_name, extract_ranks, m_set, solve_even_fp, solve_odd_fp,
+)
 from fairgame.pgfile import mutate_liveness, random_game
+from fairgame.transformers import Kernels, np_to_region
 
 from conftest import build_game, make_g3, offset_ladder, small_games
 
@@ -344,6 +353,176 @@ FP_TRACE_DIGEST = "69c519840b78b375a01692dd18758a462d01fda3de3929b32d02b7bdb01b1
 
 def test_traces_match_golden_digest():
     assert fp_trace_digest(fp_trace_cases()) == FP_TRACE_DIGEST
+
+
+def operator_calls(monkeypatch, names):
+    """Count the calls of the named Kernels methods."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(self, *args, _f=getattr(Kernels, name), _name=name):
+            calls[_name] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(Kernels, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("game, want", [
+    # a variable takes the value counted just before it: X1's as Y2's 2000
+    # times, Y2's as X1's 1000 times, X1's as X3's 1001 times; without reuse
+    # 6003 count_in and 4005 lpre_forall calls
+    (lambda: mutate_liveness(offset_ladder(1000, True, 0), 50, 1), {"count_in": 2001, "lpre_forall": 2003}),
+    (lambda: offset_ladder(1000, False, 0), {"count_in": 2001}),  # 3001 without reuse
+])
+def test_each_distinct_iterate_is_counted_once(monkeypatch, game, want):
+    view = SubgameView.full(game())
+    calls = operator_calls(monkeypatch, want)
+    solve_odd_fp(view, ranks=True)
+    assert calls == want
+
+
+def reference_run(
+    view: SubgameView,
+    side: int,
+    use_live: bool,
+    want_ranks: bool,
+    want_snapshots: bool,
+    deadline: Optional[Deadline],
+) -> Tuple[Region, FpTrace]:
+    """fixpoint._run as it was before the value memo: parts keyed by version only."""
+    K = Kernels(view, use_live)
+    n = K.n
+    active = K.active
+    l = least_even_upperbound(view.game, view.active)
+    evens = list(range(2, l + 1, 2))
+    pri = K.priority
+    C = {j: active & (pri == j) for j in evens}
+    # term j is base[j] | C[j] & cpre(side, Y_j) | rest[j] & op(Y_j, X_{j-1})
+    if side == ODD:
+        base = {j: active & (pri > j) for j in evens}
+        rest = {j: active & (pri != j) for j in evens}
+        op, join = K.npre_of, np.logical_and
+    else:
+        base = {j: np.zeros(n, bool) for j in evens}
+        rest = {j: active & (pri < j) for j in evens}
+        op, join = K.apre_of, np.logical_or
+
+    var: Dict[int, np.ndarray] = {}
+    ver: Dict[int, int] = {k: 0 for k in range(1, l + 1)}
+    counters: Dict[int, int] = {k: 0 for k in range(1, l + 1)}
+    parts: Dict[int, tuple] = {}  # k -> (ver[k], ...), see part()
+    memo: Dict[int, tuple] = {}
+    live = K.lpre_forall if side == ODD else K.lpre_exists
+    # cpre_of and live of the reset values, the empty set (count_in zero) and the active set (K.deg)
+    start = {True: (K.cpre_of(side, np.zeros(n)), live(np.zeros(n, bool))),
+             False: (K.cpre_of(side, K.deg), live(active))}
+
+    recorded = evens if side == ODD else list(range(1, l + 1, 2))
+    comp: Optional[Dict[int, np.ndarray]] = None
+    if want_ranks:
+        comp = {m: np.full(n, -1, dtype=np.int32) for m in recorded}
+    snaps: Optional[Dict[Tuple[str, Tuple[int, ...]], Region]] = (
+        {} if want_snapshots else None
+    )
+
+    def part(k: int, reset: Optional[tuple] = None) -> tuple:
+        # (ver[k], cpre_of(side, count_in(var[k])), then live(var[k]) for an X
+        # or for a Y its own part of term k, which reads no X), once per
+        # iterate; reset holds cpre_of and live of a reset value
+        hit = parts.get(k)
+        if reset is None and hit[0] == ver[k]:
+            return hit
+        x = var[k]
+        p, lx = reset or (K.cpre_of(side, K.count_in(x)), live(x) if k % 2 else None)
+        parts[k] = (ver[k], p, lx if k % 2 else base[k] | (C[k] & p))
+        return parts[k]
+
+    def term(j: int) -> np.ndarray:
+        key = (ver[j], ver[j - 1])
+        hit = memo.get(j)
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        _, py, own = part(j)
+        _, px, lx = part(j - 1)
+        val = own | (rest[j] & op(py, px, lx))
+        memo[j] = (key, val)
+        return val
+
+    def eval_level(k: int) -> np.ndarray:
+        mu = (k % 2 == 0) == (side == ODD)
+        var[k] = np.zeros(n, bool) if mu else active.copy()
+        ver[k] += 1
+        part(k, start[mu])
+        counters[k] = 0
+        while True:
+            if deadline is not None:
+                deadline.poll()
+            if not mu and comp is not None and k + 1 in comp:
+                # inner ranks come from the last pass; a vertex that the mu
+                # above has taken in keeps those of the pass that took it in
+                for m in range(k - 1, 0, -2):
+                    comp[m][comp[k + 1] < 0] = -1
+            newval = eval_level(k - 1) if k > 1 else reduce(join, map(term, evens))
+            moved = newval ^ var[k]
+            if mu:
+                assert not (moved & var[k]).any(), "mu iterate shrank"
+            else:
+                assert not (moved & newval).any(), "nu iterate grew"
+            it = counters[k] + 1
+            if snaps is not None:
+                ctx = tuple(counters[kk] for kk in range(l, k, -1))
+                snaps[(_var_name(k), ctx + (it,))] = np_to_region(newval)
+            changed = moved.any()
+            if mu and changed and comp is not None:
+                comp[k][newval & (comp[k] < 0)] = it
+            var[k] = newval
+            ver[k] += 1
+            counters[k] = it
+            if not changed:
+                return newval
+
+    try:
+        result = eval_level(l)
+    finally:
+        del eval_level  # it refers to itself: a cycle that would hold K and the iterates
+    region = np_to_region(result)
+    if comp is not None:
+        for m in recorded:
+            bad = result & (comp[m] < 1)
+            assert not bad.any(), f"vertex in the winning region lacks a level-{m} rank component"
+    trace = FpTrace(
+        side=side,
+        l=l,
+        region=region,
+        counters=dict(counters),
+        snapshots=snaps,
+        components=comp,
+    )
+    return region, trace
+
+
+def reuse_cases():
+    for _seed, _alpha, g in small_games(150, start_seed=12000):
+        yield g
+    for k in (1, 2, 5, 9, 30):
+        for dual in (False, True):
+            for offset in (0, 2, 4):
+                for alpha in (0, 50, 100):
+                    yield mutate_liveness(offset_ladder(k, dual, offset), alpha, k + offset)
+    for n, p, s in ((20, 5, 2), (40, 8, 3), (60, 6, 1), (150, 5, 2)):
+        for alpha in (0, 50, 100):
+            yield mutate_liveness(random_game(n, p, s), alpha, s)
+
+
+def test_value_reuse_matches_the_version_keyed_reference():
+    for g in reuse_cases():
+        view = SubgameView.full(g)
+        for side, use_live, ranks, snaps in product((ODD, EVEN), (True, False), (True, False), (True, False)):
+            got = _run(view, side, use_live, ranks, snaps, None)[1]
+            want = reference_run(view, side, use_live, ranks, snaps, None)[1]
+            assert (got.region, got.counters, got.snapshots) == (want.region, want.counters, want.snapshots)
+            assert (got.components is None) == (want.components is None)
+            for m, c in (want.components or {}).items():
+                assert np.array_equal(got.components[m], c), (side, use_live, m)
 
 
 @pytest.mark.parametrize("algo", SOLVER_TAGS)
