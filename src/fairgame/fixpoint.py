@@ -17,33 +17,42 @@ in the iteration of each enclosing mu variable where the vertex entered it.
 Those indices are the rank components used to build strategy templates:
 component order is outermost level first.
 
-Each distinct value is counted once as it passes between levels: `_run`
-keys what the terms read of a variable (the `cpre` of its edge count, then
-the live-edge operator of an X or the part of its term that a Y decides
-alone) by the variable's version, which moves at every reset and iterate.
-On a version miss it compares the operand with the value it counted last,
-byte for byte, and reuses that value's `cpre` and live-edge operator when
-they are equal. One entry suffices for these repeats: a variable takes as
-its next iterate the fixed point that the level below has just confirmed,
-the very value counted in that level's last pass, so on the 1000-rung
-ladders every repeat is of the operand counted just before it. A value that
-comes back later (on random games, when an inner variable re-runs after its
-reset the chain of iterates it ran before) is counted again, and the memo
-stays one n-byte key and two masks however many iterates a solve makes. A
-reset value needs no count: no edge enters the empty set, and `Kernels.deg`
-edges enter the active set.
+Iterates, the priority-class masks and every operator part are Python
+ints, the bitmasks of `Region.mask`; numpy only counts edges in full. `_run`
+keys what the terms read of a variable (the `cpre` bits of its edge count,
+then the live-edge operator of an X or the part of its term that a Y
+decides alone) by the variable's version, which moves at every reset and
+iterate. A version miss goes to a memo of the two values counted most
+recently: each holds its edge counts and `cpre` bits and, once an X asks,
+its live-edge counts and operator. The entry with the fewest bits differing
+from the operand is reused when equal, and moved to it by `_count_moves`
+when at most `_DELTA_MAX` bits differ: the predecessors of each changed
+vertex count one edge more or less, and a bit flips where a count crosses
+its need, the attractor's counter technique. Otherwise the operand is
+counted in full and replaces the older entry. Two entries, because on the
+1000-rung ladders the counted operands alternate between two chains:
+consecutive ones differ in about a quarter of the vertices, each is two
+bits from the one two steps back. The bound is a small constant because a
+bit step on an int costs O(n/64) words. A reset value needs no count: no
+edge enters the empty set, and `Kernels.deg` edges enter the active set.
+Each level is a generator frame that yields the level below it, so
+`run_frames` bounds nesting by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .game import EVEN, ODD, Deadline, Region, SubgameView, least_even_upperbound
-from .transformers import Kernels, np_to_region
+from .game import EVEN, ODD, Deadline, Region, SubgameView, least_even_upperbound, run_frames
+from .transformers import Kernels, mask_to_np, np_to_mask
+
+# most bits by which an operand may differ from a memo entry moved to it by _count_moves
+_DELTA_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,29 @@ def _var_name(k: int) -> str:
     return f"{'Y' if k % 2 == 0 else 'X'}{k}"
 
 
+def _count_moves(counts: memoryview, need: memoryview, pred, old: int, new: int) -> int:
+    """Move counts of edges into `old` to `new` in place; pred[w] lists the sources of edges into w.
+
+    Returns the bits of the vertices whose count crosses their need.
+    """
+    flips = 0
+    diff = old ^ new
+    while diff:
+        low = diff & -diff
+        diff ^= low
+        if new & low:
+            for v in pred[low.bit_length() - 1]:
+                counts[v] += 1
+                if counts[v] == need[v]:
+                    flips ^= 1 << v
+        else:
+            for v in pred[low.bit_length() - 1]:
+                if counts[v] == need[v]:
+                    flips ^= 1 << v
+                counts[v] -= 1
+    return flips
+
+
 def _run(
     view: SubgameView,
     side: int,
@@ -89,34 +121,61 @@ def _run(
     want_snapshots: bool,
     deadline: Optional[Deadline],
 ) -> Tuple[Region, FpTrace]:
+    game = view.game
     K = Kernels(view, use_live)
     n = K.n
     active = K.active
-    l = least_even_upperbound(view.game, view.active)
+    act = view.active.mask
+    l = least_even_upperbound(game, view.active)
     evens = list(range(2, l + 1, 2))
     pri = K.priority
-    C = {j: active & (pri == j) for j in evens}
+    C = {j: np_to_mask(active & (pri == j)) for j in evens}
     # term j is base[j] | C[j] & cpre(side, Y_j) | rest[j] & op(Y_j, X_{j-1})
     if side == ODD:
-        base = {j: active & (pri > j) for j in evens}
-        rest = {j: active & (pri != j) for j in evens}
-        op, join = K.npre_of, np.logical_and
+        base = {j: np_to_mask(active & (pri > j)) for j in evens}
+        rest = {j: act & ~C[j] for j in evens}
+        even = np_to_mask(K.mask[EVEN])
+        # npre(s, t) from cpre(ODD, s), cpre(ODD, t) and lpre_forall(t); at Odd's vertices ps is pre_exists(ODD, s)
+        op, join = (lambda ps, pt, lt: pt & (even | lt | ps)), operator.and_
     else:
-        base = {j: np.zeros(n, bool) for j in evens}
-        rest = {j: active & (pri < j) for j in evens}
-        op, join = K.apre_of, np.logical_or
+        base = dict.fromkeys(evens, 0)
+        rest = {j: np_to_mask(active & (pri < j)) for j in evens}
+        # apre(s, t) from cpre(EVEN, s), cpre(EVEN, t) and lpre_exists(t); lt lies where ps is pre_forall(ODD, s)
+        op, join = (lambda ps, pt, lt: pt | (lt & ps)), operator.or_
 
-    var: Dict[int, np.ndarray] = {}
+    live = K.lpre_forall if side == ODD else K.lpre_exists
+    # cpre and live bits of the reset values, the empty set (no edge in) and the active set (K.deg in)
+    start = {True: (np_to_mask(K.cpre_of(side, np.zeros(n))), np_to_mask(live(np.zeros(n, bool)))),
+             False: (np_to_mask(K.cpre_of(side, K.deg)), np_to_mask(live(active)))}
+    # with no live edge in the view the live operator is constant; else it
+    # holds where the count of live edges into the operand reaches lneed
+    lfree = start[True][1] if K.live_free is not None else None
+    lneed = np.where(K.mask[ODD], K.ldeg if side == ODD else 1.0, np.inf)
+    need_v, lneed_v = memoryview(K.need[side]), memoryview(lneed)
+    memo: list = []  # [value, counts, cpre bits, live counts, live bits], most recent last
+
+    def counted(x: int, want_live: bool) -> list:
+        e = min(memo, key=lambda f: (x ^ f[0]).bit_count(), default=None)
+        d = (x ^ e[0]).bit_count() if e is not None else np.inf
+        if d > _DELTA_MAX:
+            counts = K.count_in(mask_to_np(x, n))
+            e = [x, memoryview(counts), np_to_mask(K.cpre_of(side, counts)), None, lfree]
+        elif d:
+            e[2] ^= _count_moves(e[1], need_v, game.pred, e[0], x)
+            if e[3] is not None:
+                e[4] ^= _count_moves(e[3], lneed_v, game.live_pred, e[0], x)
+            e[0] = x
+        memo[:] = [f for f in memo if f is not e][-1:] + [e]
+        if want_live and e[4] is None:
+            lcounts = K.live_count_in(mask_to_np(x, n))
+            e[3], e[4] = memoryview(lcounts), np_to_mask(lcounts >= lneed)
+        return e
+
+    var: Dict[int, int] = {}
     ver: Dict[int, int] = {k: 0 for k in range(1, l + 1)}
     counters: Dict[int, int] = {k: 0 for k in range(1, l + 1)}
     parts: Dict[int, tuple] = {}  # k -> (ver[k], ...), see part()
-    memo: Dict[int, tuple] = {}
-    live = K.lpre_forall if side == ODD else K.lpre_exists
-    # cpre_of and live of the reset values, the empty set (count_in zero) and the active set (K.deg)
-    start = {True: (K.cpre_of(side, np.zeros(n)), live(np.zeros(n, bool))),
-             False: (K.cpre_of(side, K.deg), live(active))}
-    # bytes, cpre_of and live (None until an X asks) of the value counted last
-    last: list = [None, None, None]
+    terms: Dict[int, tuple] = {}
 
     recorded = evens if side == ODD else list(range(1, l + 1, 2))
     comp: Optional[Dict[int, np.ndarray]] = None
@@ -127,39 +186,34 @@ def _run(
     )
 
     def part(k: int, reset: Optional[tuple] = None) -> tuple:
-        # (ver[k], cpre_of(side, count_in(var[k])), then live(var[k]) for an X
-        # or for a Y its own part of term k, which reads no X), once per
-        # version; a new version of the value counted last reuses its count
-        # and live operator; reset holds cpre_of and live of a reset value
+        # (ver[k], cpre bits of var[k], then its live bits for an X or for a
+        # Y its own part of term k, which reads no X), once per version;
+        # reset holds the cpre and live bits of a reset value
         if reset is None:
             hit = parts[k]
             if hit[0] == ver[k]:
                 return hit
-            x = var[k]
-            key = x.tobytes()
-            if key != last[0]:
-                last[:] = key, K.cpre_of(side, K.count_in(x)), None
-            if k % 2 and last[2] is None:
-                last[2] = live(x)
-            reset = last[1], last[2]
+            e = counted(var[k], k % 2 == 1)
+            reset = e[2], e[4]
         p, lx = reset
         parts[k] = (ver[k], p, lx if k % 2 else base[k] | (C[k] & p))
         return parts[k]
 
-    def term(j: int) -> np.ndarray:
+    def term(j: int) -> int:
         key = (ver[j], ver[j - 1])
-        hit = memo.get(j)
+        hit = terms.get(j)
         if hit is not None and hit[0] == key:
             return hit[1]
         _, py, own = part(j)
         _, px, lx = part(j - 1)
         val = own | (rest[j] & op(py, px, lx))
-        memo[j] = (key, val)
+        terms[j] = (key, val)
         return val
 
-    def eval_level(k: int) -> np.ndarray:
+    def eval_level(k: int):
+        # a frame of run_frames: `yield k - 1` asks for level k - 1's fixed point
         mu = (k % 2 == 0) == (side == ODD)
-        var[k] = np.zeros(n, bool) if mu else active.copy()
+        var[k] = 0 if mu else act
         ver[k] += 1
         part(k, start[mu])
         counters[k] = 0
@@ -171,33 +225,29 @@ def _run(
                 # above has taken in keeps those of the pass that took it in
                 for m in range(k - 1, 0, -2):
                     comp[m][comp[k + 1] < 0] = -1
-            newval = eval_level(k - 1) if k > 1 else reduce(join, map(term, evens))
+            newval = (yield k - 1) if k > 1 else reduce(join, map(term, evens))
             moved = newval ^ var[k]
             if mu:
-                assert not np.count_nonzero(moved & var[k]), "mu iterate shrank"
+                assert not moved & var[k], "mu iterate shrank"
             else:
-                assert not np.count_nonzero(moved & newval), "nu iterate grew"
+                assert not moved & newval, "nu iterate grew"
             it = counters[k] + 1
             if snaps is not None:
                 ctx = tuple(counters[kk] for kk in range(l, k, -1))
-                snaps[(_var_name(k), ctx + (it,))] = np_to_region(newval)
-            changed = np.count_nonzero(moved) > 0
-            if mu and changed and comp is not None:
-                comp[k][newval & (comp[k] < 0)] = it
+                snaps[(_var_name(k), ctx + (it,))] = Region(n, newval)
+            if mu and moved and comp is not None:
+                comp[k][mask_to_np(newval, n) & (comp[k] < 0)] = it
             var[k] = newval
             ver[k] += 1
             counters[k] = it
-            if not changed:
+            if not moved:
                 return newval
 
-    try:
-        result = eval_level(l)
-    finally:
-        del eval_level  # it refers to itself: a cycle that would hold K and the iterates
-    region = np_to_region(result)
+    result = run_frames(eval_level(l), eval_level)
+    region = Region(n, result)
     if comp is not None:
         for m in recorded:
-            bad = result & (comp[m] < 1)
+            bad = mask_to_np(result, n) & (comp[m] < 1)
             assert not bad.any(), f"vertex in the winning region lacks a level-{m} rank component"
     trace = FpTrace(
         side=side,

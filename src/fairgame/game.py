@@ -40,6 +40,25 @@ def gc_paused():
             gc.enable()
 
 
+def run_frames(root, call):
+    """Return what the generator frame `root` returns, keeping the frames it calls on a list.
+
+    A frame yields an argument of `call`, which makes the frame it calls, and is sent its return value.
+    """
+    stack = [root]
+    sent = None
+    while stack:
+        try:
+            arg = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+        else:
+            stack.append(call(arg))
+            sent = None
+    return sent
+
+
 # "0"/"1" characters to the bytes 0/1, the selectors of `itertools.compress`
 _BIT = bytes.maketrans(b"01", b"\x00\x01")
 

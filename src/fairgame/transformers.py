@@ -14,15 +14,23 @@ import numpy as np
 from .game import EVEN, ODD, Region, SubgameView
 
 
+def mask_to_np(mask: int, n: int) -> np.ndarray:
+    """The bitmask of a set over [0, n) as a bool array, bit v at index v."""
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
+
+
+def np_to_mask(arr: np.ndarray) -> int:
+    """The bitmask of the true entries of a bool array."""
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
 def region_to_np(r: Region) -> np.ndarray:
-    nbytes = (r.n + 7) // 8
-    packed = np.frombuffer(r.mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, bitorder="little")[: r.n].astype(bool)
+    return mask_to_np(r.mask, r.n)
 
 
 def np_to_region(arr: np.ndarray) -> Region:
-    packed = np.packbits(arr.astype(bool), bitorder="little")
-    return Region(len(arr), int.from_bytes(packed.tobytes(), "little"))
+    return Region(len(arr), np_to_mask(arr))
 
 
 def _edges(rows):

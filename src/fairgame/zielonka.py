@@ -7,7 +7,7 @@ priorities with the same order and parity) and nests only into the classes
 present in each sub-arena. Each nested solve is a generator frame that
 owns its arena and lends the sub-arena it yields: the arena drops it and
 takes it back as the child's regions, so the sets held at all depths total
-O(n). `_run` keeps the frames on a list, so nesting is bounded by memory.
+O(n). `run_frames` keeps the frames on a list, so nesting is bounded by memory.
 Under the fairness assumption Even's attractor additionally pulls in Odd
 vertices with a live edge into the attracted set, which overapproximates
 Even's classical reach. An Odd level therefore runs in passes: the surviving
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
-from .game import EVEN, ODD, Deadline, OddFairGame, Region, SubgameView
+from .game import EVEN, ODD, Deadline, OddFairGame, Region, SubgameView, run_frames
 from .templates import EvenStrategy, OddTemplate, _odd_template
 from .transformers import Kernels, np_to_region, region_to_np
 
@@ -322,7 +322,7 @@ def _check_trap(game, lam: int, Z: Set[int], X: Set[int]):
 
 
 def _solve(ctx: _Ctx, X: Set[int]):
-    """Solve the arena X as a frame of `_run`: `sub = yield Z` asks for Z's solution.
+    """Solve the arena X as a frame of `run_frames`: `sub = yield Z` asks for Z's solution.
 
     The frame owns X and consumes it. Each pass reads the top class present
     in X; lam is its parity. The peel loop alternates the lam attractor to
@@ -418,23 +418,6 @@ def _solve(ctx: _Ctx, X: Set[int]):
     return win
 
 
-def _run(ctx: _Ctx, active: Set[int]) -> list:
-    """Drive `_solve` frames on an explicit stack and return the root's win sets."""
-    stack = [_solve(ctx, active)]
-    sent = None
-    while True:
-        try:
-            Z = stack[-1].send(sent)
-        except StopIteration as done:
-            stack.pop()
-            if not stack:
-                return done.value
-            sent = done.value
-        else:
-            stack.append(_solve(ctx, Z))
-            sent = None
-
-
 def _top(
     view: SubgameView,
     use_live: bool,
@@ -444,7 +427,7 @@ def _top(
 ) -> RecursionArtifacts:
     game = view.game
     ctx = _Ctx(game, use_live, check, deadline, ({}, {}) if extract else None, _counters(game.n))
-    win = _run(ctx, set(view.active))
+    win = run_frames(_solve(ctx, set(view.active)), lambda Z: _solve(ctx, Z))
     w_even = Region.of(game.n, win[EVEN])
     w_odd = Region.of(game.n, win[ODD])
     out = RecursionArtifacts(win_even=w_even, win_odd=w_odd)

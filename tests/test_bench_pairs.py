@@ -54,3 +54,11 @@ def test_compare_with_previous_keeps_the_shared_metrics():
     assert bench_pairs.compare_with_previous(summary, {}) == {}
     wall = summary["w"]["wall_s"]
     assert wall["gain_shown"] and not wall["unresolved"]  # every change run beats every parent run
+
+
+def test_fixpoint_calls_count_full_and_difference_updates():
+    games = 'print(json.dumps({"ladder20": solves([parse_game(gen.ladder(20))])}))'
+    got = bench_pairs.fixpoint_calls(ROOT, games)["ladder20"]
+    assert got.pop("solve_s") >= 0
+    # one full count per chain of X1 values, every later count moved by difference
+    assert got == {"count_in": 2, "live_count_in": 0, "lpre_forall": 2, "moves": 39}

@@ -7,6 +7,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import pytest
 
+from fairgame import cli, fixpoint
 from fairgame.bench import SOLVER_TAGS, solve_instance
 from fairgame.certify import certify_partition
 from fairgame.cli import _played_game
@@ -16,7 +17,7 @@ from fairgame.game import (
 from fairgame.fixpoint import (
     FpTrace, _run, _var_name, extract_ranks, m_set, solve_even_fp, solve_odd_fp,
 )
-from fairgame.pgfile import mutate_liveness, random_game
+from fairgame.pgfile import mutate_liveness, random_game, write_game
 from fairgame.transformers import Kernels, np_to_region
 
 from conftest import build_game, make_g3, offset_ladder, small_games
@@ -366,18 +367,36 @@ def operator_calls(monkeypatch, names):
     return calls
 
 
+def difference_updates(monkeypatch):
+    """Count the calls of fixpoint._count_moves, the count update by difference."""
+    calls = [0]
+
+    def counted(*args, _f=fixpoint._count_moves):
+        calls[0] += 1
+        return _f(*args)
+    monkeypatch.setattr(fixpoint, "_count_moves", counted)
+    return calls
+
+
 @pytest.mark.parametrize("game, want", [
-    # a variable takes the value counted just before it: X1's as Y2's 2000
-    # times, Y2's as X1's 1000 times, X1's as X3's 1001 times; without reuse
-    # 6003 count_in and 4005 lpre_forall calls
-    (lambda: mutate_liveness(offset_ladder(1000, True, 0), 50, 1), {"count_in": 2001, "lpre_forall": 2003}),
-    (lambda: offset_ladder(1000, False, 0), {"count_in": 2001}),  # 3001 without reuse
+    # the counted operands are X1's iterates, two chains whose values
+    # alternate; each is two vertices away from the value counted two steps
+    # before it, so after one full count per chain (and, on the dual, one full
+    # live count) every count is moved by difference: 1999 moves of the edge
+    # counts, and as many of the live counts on the dual. lpre_forall runs
+    # on the two reset values only, and makes the other two live_count_in
+    # calls. Counting each distinct value in full took 2001 count_in and 2003
+    # lpre_forall calls
+    (lambda: mutate_liveness(offset_ladder(1000, True, 0), 50, 1),
+     {"count_in": 2, "live_count_in": 4, "lpre_forall": 2, "moves": 3998}),
+    (lambda: offset_ladder(1000, False, 0), {"count_in": 2, "live_count_in": 0, "lpre_forall": 2, "moves": 1999}),
 ])
 def test_each_distinct_iterate_is_counted_once(monkeypatch, game, want):
     view = SubgameView.full(game())
-    calls = operator_calls(monkeypatch, want)
+    calls = operator_calls(monkeypatch, ["count_in", "live_count_in", "lpre_forall"])
+    moves = difference_updates(monkeypatch)
     solve_odd_fp(view, ranks=True)
-    assert calls == want
+    assert {**calls, "moves": moves[0]} == want
 
 
 def reference_run(
@@ -513,16 +532,31 @@ def reuse_cases():
             yield mutate_liveness(random_game(n, p, s), alpha, s)
 
 
-def test_value_reuse_matches_the_version_keyed_reference():
+def test_value_reuse_matches_the_version_keyed_reference(monkeypatch):
+    # each value counted in full, the default bound, and every count after
+    # the first moved by difference
+    bounds = (0, fixpoint._DELTA_MAX, 10**9)
     for g in reuse_cases():
         view = SubgameView.full(g)
         for side, use_live, ranks, snaps in product((ODD, EVEN), (True, False), (True, False), (True, False)):
-            got = _run(view, side, use_live, ranks, snaps, None)[1]
             want = reference_run(view, side, use_live, ranks, snaps, None)[1]
-            assert (got.region, got.counters, got.snapshots) == (want.region, want.counters, want.snapshots)
-            assert (got.components is None) == (want.components is None)
-            for m, c in (want.components or {}).items():
-                assert np.array_equal(got.components[m], c), (side, use_live, m)
+            for bound in bounds:
+                monkeypatch.setattr(fixpoint, "_DELTA_MAX", bound)
+                got = _run(view, side, use_live, ranks, snaps, None)[1]
+                assert (got.region, got.counters, got.snapshots) == (want.region, want.counters, want.snapshots)
+                assert (got.components is None) == (want.components is None)
+                for m, c in (want.components or {}).items():
+                    assert np.array_equal(got.components[m], c), (side, use_live, m, bound)
+
+
+@pytest.mark.parametrize("algo", ["of-fp", "n-fp"])
+def test_many_priority_classes_time_out_instead_of_recursing(tmp_path, capsys, algo):
+    # 2364 levels, nested as generator frames on a list: the solve runs
+    # into its deadline, not into Python's recursion limit
+    path = tmp_path / "deep.gm"
+    path.write_text(write_game(random_game(3000, 3000, 1)))
+    assert cli.main(["solve", str(path), "--algo", algo, "--timeout", "1"]) == 3
+    assert capsys.readouterr().err == "timeout\n"
 
 
 @pytest.mark.parametrize("algo", SOLVER_TAGS)

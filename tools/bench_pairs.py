@@ -15,9 +15,12 @@ worse than the parent by more than the metric's bound, the parent's
 interquartile range over its median, and whether a gain is shown (wins in
 at least nine tenths of the pairs and a median gain wider than the parent's
 interquartile range). `--trace` makes one traced run per tree, the per-layer
-metrics of one set-up plus one round. `--calls` counts the `count_in` and
-`lpre_forall` calls of one ranked `solve_odd_fp` on fixed ladders and random
-games in each tree.
+metrics of one set-up plus one round. `--calls` counts, in each tree, the
+full edge counts (`count_in`, `live_count_in`), the `lpre_forall` calls and
+the counts moved by difference (`fixpoint._count_moves`, where the tree has
+it) of one ranked `solve_odd_fp` on fixed ladders and random games, and of
+the 20 unranked solves of the criterion-7 scale test, with the seconds the
+solves took.
 
 The output file is read first when it exists, and the section is replaced;
 the `parent`, `previous_bench_file`, `machine` and `command` fields are
@@ -38,34 +41,55 @@ from pathlib import Path
 
 TREES = ("parent", "change")
 
-CALLS = r"""
-import json, sys
+COUNTER = r"""
+import json, sys, time
 sys.path[:0] = ["src", "benchmark"]
 import gen
+from fairgame import fixpoint, pgfile
 from fairgame.fixpoint import solve_odd_fp
 from fairgame.game import SubgameView
 from fairgame.pgfile import mutate_liveness, parse_game
 from fairgame.transformers import Kernels
 
-calls = {"count_in": 0, "lpre_forall": 0}
-for name in calls:
-    def counted(self, *args, _f=getattr(Kernels, name), _name=name):
-        calls[_name] += 1
-        return _f(self, *args)
-    setattr(Kernels, name, counted)
-games = {
-    "dual1000 alpha50 seed1": mutate_liveness(parse_game(gen.ladder(1000, dual=True)), 50, 1),
-    "ladder1000": parse_game(gen.ladder(1000)),
-}
-for n in (800, 1500, 2000):
-    games[f"random_game({n}, 5, 1) alpha50 seed1"] = mutate_liveness(parse_game(gen.random_game(n, 5, 1)), 50, 1)
-out = {}
-for name, game in games.items():
+calls = dict.fromkeys(("count_in", "live_count_in", "lpre_forall", "moves"), 0)
+
+def wrap(owner, name, key):
+    f = getattr(owner, name)
+    def counted(*args):
+        calls[key] += 1
+        return f(*args)
+    setattr(owner, name, counted)
+
+for name in ("count_in", "live_count_in", "lpre_forall"):
+    wrap(Kernels, name, name)
+if hasattr(fixpoint, "_count_moves"):  # counts moved by difference, in a tree that has them
+    wrap(fixpoint, "_count_moves", "moves")
+
+def solves(games, ranks=True):
     calls.update(dict.fromkeys(calls, 0))
-    solve_odd_fp(SubgameView.full(game), ranks=True)
-    out[name] = dict(calls)
+    t0 = time.perf_counter()
+    for game in games:
+        solve_odd_fp(SubgameView.full(game), ranks=ranks)
+    return {**calls, "solve_s": round(time.perf_counter() - t0, 3)}
+"""
+
+GAMES = r"""
+out = {
+    "dual1000 alpha50 seed1": solves([mutate_liveness(parse_game(gen.ladder(1000, dual=True)), 50, 1)]),
+    "ladder1000": solves([parse_game(gen.ladder(1000))]),
+}
+for n, p, s in ((800, 5, 1), (1500, 5, 1), (2000, 5, 1), (2000, 5, 3), (20000, 3, 3)):
+    out[f"random_game({n}, {p}, {s}) alpha50 seed{s}"] = solves([mutate_liveness(parse_game(gen.random_game(n, p, s)), 50, s)])
+criterion7 = [mutate_liveness(pgfile.random_game(500 + 100 * i, 5 + i % 2, 1000 + i), 50, 1000 + i) for i in range(20)]
+out["criterion 7: 20 games, ranks=False"] = solves(criterion7, ranks=False)
 print(json.dumps(out))
 """
+
+
+def fixpoint_calls(tree: Path, games: str = GAMES) -> dict:
+    """Run COUNTER and then `games`, code that prints one JSON line of `solves` results, in tree."""
+    proc = subprocess.run([sys.executable, "-c", COUNTER + games], cwd=tree, capture_output=True, text=True, check=True)
+    return last_json(proc.stdout)
 
 
 def last_json(stdout: str) -> dict:
@@ -169,8 +193,7 @@ def main(argv=None) -> int:
     section = {"note": args.note} if args.note else {}
     if args.calls:
         for tree, root in trees.items():
-            proc = subprocess.run([sys.executable, "-c", CALLS], cwd=root, capture_output=True, text=True, check=True)
-            section[tree] = last_json(proc.stdout)
+            section[tree] = fixpoint_calls(root)
     elif args.trace:
         runs = [{"tree": t, "workload": w, "seed": args.seed,
                  "result": run_benchmark(trees[t], w, args.seed, spec["run_seconds"], True)}
