@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 from functools import reduce
 from itertools import product
 from typing import Dict, Optional, Tuple
@@ -547,6 +548,30 @@ def test_value_reuse_matches_the_version_keyed_reference(monkeypatch):
                 assert (got.components is None) == (want.components is None)
                 for m, c in (want.components or {}).items():
                     assert np.array_equal(got.components[m], c), (side, use_live, m, bound)
+
+
+def test_value_reuse_matches_the_reference_on_sub_views(monkeypatch):
+    # on a view that leaves vertices out, counts also move along edges from
+    # inactive sources; both count paths must still give the reference's trace
+    rng = random.Random(5)
+    checked = 0
+    for _seed, _alpha, g in small_games(120, max_n=30, start_seed=13000):
+        keep = {v for v in range(g.n) if rng.random() < 0.7}
+        while stuck := {v for v in keep if keep.isdisjoint(g.succ[v])}:
+            keep -= stuck
+        if not keep:
+            continue
+        view = SubgameView(g, Region.of(g.n, keep))
+        for side, use_live in product((ODD, EVEN), (True, False)):
+            want = reference_run(view, side, use_live, True, True, None)[1]
+            for bound in (0, 10**9):
+                monkeypatch.setattr(fixpoint, "_DELTA_MAX", bound)
+                got = _run(view, side, use_live, True, True, None)[1]
+                assert (got.region, got.counters, got.snapshots) == (want.region, want.counters, want.snapshots)
+                for m, c in want.components.items():
+                    assert np.array_equal(got.components[m], c), (side, use_live, m, bound)
+        checked += 1
+    assert checked >= 80
 
 
 @pytest.mark.parametrize("algo", ["of-fp", "n-fp"])
