@@ -17,26 +17,27 @@ in the iteration of each enclosing mu variable where the vertex entered it.
 Those indices are the rank components used to build strategy templates:
 component order is outermost level first.
 
-Iterates, the priority-class masks and every operator part are Python
-ints, the bitmasks of `Region.mask`; numpy only counts edges in full. `_run`
-keys what the terms read of a variable (the `cpre` bits of its edge count,
-then the live-edge operator of an X or the part of its term that a Y
-decides alone) by the variable's version, which moves at every reset and
-iterate. A version miss goes to a memo of the two values counted most
-recently: each holds its edge counts and `cpre` bits and, once an X asks,
-its live-edge counts and operator. The entry with the fewest bits differing
-from the operand is reused when equal, and moved to it by `_count_moves`
-when at most `_DELTA_MAX` bits differ: the predecessors of each changed
-vertex count one edge more or less, and a bit flips where a count crosses
-its need, the attractor's counter technique. Otherwise the operand is
+Iterates, the priority-class masks and every operator part are the
+`Region.mask` ints that `transformers.Kernels` takes and returns; numpy counts
+edges inside it. Each term is a formula over `Kernels.cpre_of`, `lpre_of` and
+`npre_of` or `apre_of`. `_run` keys what the terms read of a variable (the
+`cpre` bits of its edge count, then the live-edge operator of an X or the part
+of its term that a Y decides alone) by the variable's version, which moves at
+every reset and iterate. A version miss goes to a memo of the two values
+counted most recently: each holds its edge counts and `cpre` bits and, once an
+X asks, its live-edge counts and operator. The entry with the fewest bits
+differing from the operand is reused when equal, and moved to it by
+`_count_moves` when at most `_DELTA_MAX` bits differ: the predecessors of each
+changed vertex count one edge more or less, and a bit flips where a count
+crosses its need, the attractor's counter technique. Otherwise the operand is
 counted in full and replaces the older entry. Two entries, because on the
 1000-rung ladders the counted operands alternate between two chains:
-consecutive ones differ in about a quarter of the vertices, each is two
-bits from the one two steps back. The bound is a small constant because a
-bit step on an int costs O(n/64) words. A reset value needs no count: no
-edge enters the empty set, and `Kernels.deg` edges enter the active set.
-Each level is a generator frame that yields the level below it, so
-`run_frames` bounds nesting by memory, not by the recursion limit.
+consecutive ones differ in about a quarter of the vertices, each is two bits
+from the one two steps back. The bound is a small constant because a bit step
+on an int costs O(n/64) words. A reset value needs no count: no edge enters
+the empty set, and `Kernels.deg` edges enter the active set. Each level is a
+generator frame that yields the level below it, so `run_frames` bounds nesting
+by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -124,42 +125,35 @@ def _run(
     game = view.game
     K = Kernels(view, use_live)
     n = K.n
-    active = K.active
-    act = view.active.mask
+    act = K.active
     l = least_even_upperbound(game, view.active)
     evens = list(range(2, l + 1, 2))
-    pri = K.priority
-    C = {j: np_to_mask(active & (pri == j)) for j in evens}
+    level = K.level
+    C = {j: np_to_mask(level == j) & act for j in evens}
     # term j is base[j] | C[j] & cpre(side, Y_j) | rest[j] & op(Y_j, X_{j-1})
     if side == ODD:
-        base = {j: np_to_mask(active & (pri > j)) for j in evens}
+        base = {j: np_to_mask(level > j) & act for j in evens}
         rest = {j: act & ~C[j] for j in evens}
-        even = np_to_mask(K.mask[EVEN])
-        # npre(s, t) from cpre(ODD, s), cpre(ODD, t) and lpre_forall(t); at Odd's vertices ps is pre_exists(ODD, s)
-        op, join = (lambda ps, pt, lt: pt & (even | lt | ps)), operator.and_
+        op, join, live = K.npre_of, operator.and_, K.lpre_forall
     else:
         base = dict.fromkeys(evens, 0)
-        rest = {j: np_to_mask(active & (pri < j)) for j in evens}
-        # apre(s, t) from cpre(EVEN, s), cpre(EVEN, t) and lpre_exists(t); lt lies where ps is pre_forall(ODD, s)
-        op, join = (lambda ps, pt, lt: pt | (lt & ps)), operator.or_
+        rest = {j: np_to_mask(level < j) & act for j in evens}
+        op, join, live = K.apre_of, operator.or_, K.lpre_exists
 
-    live = K.lpre_forall if side == ODD else K.lpre_exists
     # cpre and live bits of the reset values, the empty set (no edge in) and the active set (K.deg in)
-    start = {True: (np_to_mask(K.cpre_of(side, np.zeros(n))), np_to_mask(live(np.zeros(n, bool)))),
-             False: (np_to_mask(K.cpre_of(side, K.deg)), np_to_mask(live(active)))}
-    # with no live edge in the view the live operator is constant; else it
-    # holds where the count of live edges into the operand reaches lneed
+    start = {True: (K.cpre_of(side, np.zeros(n)), live(0)), False: (K.cpre_of(side, K.deg), live(act))}
+    # with no live edge in the view the live operator is constant and no live count is kept
     lfree = start[True][1] if K.live_free is not None else None
-    lneed = np.where(K.mask[ODD], K.ldeg if side == ODD else 1.0, np.inf)
-    need_v, lneed_v = memoryview(K.need[side]), memoryview(lneed)
+    need_v = memoryview(K.need[side])
+    lneed_v = memoryview(K.lneed[side]) if lfree is None else None
     memo: list = []  # [value, counts, cpre bits, live counts, live bits], most recent last
 
     def counted(x: int, want_live: bool) -> list:
         e = min(memo, key=lambda f: (x ^ f[0]).bit_count(), default=None)
         d = (x ^ e[0]).bit_count() if e is not None else np.inf
         if d > _DELTA_MAX:
-            counts = K.count_in(mask_to_np(x, n))
-            e = [x, memoryview(counts), np_to_mask(K.cpre_of(side, counts)), None, lfree]
+            counts = K.count_in(x)
+            e = [x, memoryview(counts), K.cpre_of(side, counts), None, lfree]
         elif d:
             e[2] ^= _count_moves(e[1], need_v, game.pred, e[0], x)
             if e[3] is not None:
@@ -167,8 +161,8 @@ def _run(
             e[0] = x
         memo[:] = [f for f in memo if f is not e][-1:] + [e]
         if want_live and e[4] is None:
-            lcounts = K.live_count_in(mask_to_np(x, n))
-            e[3], e[4] = memoryview(lcounts), np_to_mask(lcounts >= lneed)
+            lcounts = K.live_count_in(x)
+            e[3], e[4] = memoryview(lcounts), K.lpre_of(side, lcounts)
         return e
 
     var: Dict[int, int] = {}

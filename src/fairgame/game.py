@@ -178,8 +178,9 @@ class OddFairGame:
     construction.
 
     The constructor raises ValueError on the first defect: no vertex, a
-    successor out of range, a name no game file can hold, a dead end, or a
-    live edge that is no edge out of an Odd vertex. So every game it builds
+    successor out of range, names or original ids not one per vertex, a name
+    no game file can hold, a negative or repeated id, a dead end, or a live
+    edge that is no edge out of an Odd vertex. So every game it builds
     round-trips through `write_game` and `parse_game`. `with_live` and
     `with_priorities` share the structure and check only their new column.
     """
@@ -211,9 +212,18 @@ class OddFairGame:
             if min(edges(self.succ), default=0) < 0 or max(edges(self.succ), default=-1) >= n:
                 v, w = next((v, w) for v, ws in enumerate(self.succ) for w in ws if not 0 <= w < n)
                 raise ValueError(f"successor {w} of vertex {v} out of range")
+            ids = self.original_ids
+            if len(self.names) != n or len(ids) != n:
+                column = "names" if len(self.names) != n else "original ids"
+                raise ValueError(f"{column} must have one entry per vertex")
             if not _UNWRITABLE.isdisjoint("".join(filter(None, self.names))):
                 v, ch = next((v, c) for v, s in enumerate(self.names) for c in s or "" if c in _UNWRITABLE)
                 raise ValueError(f"name of vertex {v} contains {ch!r}")
+            if original_ids is not None and (min(ids) < 0 or len(set(ids)) < n):
+                first: dict = {}
+                v = next(v for v, i in enumerate(ids) if i < 0 or first.setdefault(i, v) != v)
+                defect = "negative" if ids[v] < 0 else "repeated"
+                raise ValueError(f"original id {ids[v]} of vertex {v} is {defect}")
             if not all(self.succ):
                 raise ValueError(f"dead end at {self.succ.index(())}")
             self._set_live(live_edges)

@@ -53,7 +53,7 @@ from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
 from .game import EVEN, ODD, Deadline, OddFairGame, Region, SubgameView, run_frames
 from .templates import EvenStrategy, OddTemplate, _odd_template
-from .transformers import Kernels, np_to_region, region_to_np
+from .transformers import Kernels
 
 
 @dataclass
@@ -285,21 +285,13 @@ def safe_reach_even_full(view: SubgameView, S: Region, R: Region) -> Region:
     """Even's exact reach of R through S under the fairness assumption."""
     if not R.issubset(S) or not S.issubset(view.active):
         raise ValueError("expected R subset of S subset of the active set")
-    K = Kernels(view)
-    s, r = region_to_np(S), region_to_np(R)
-    import numpy as np
-
-    y = K.active.copy()
+    K, y, s, r = Kernels(view), view.active.mask, S.mask, R.mask
     while True:
-        py = K.cpre_of(EVEN, K.count_in(y))  # y is fixed while x grows
-        x = np.zeros(K.n, bool)
-        while True:
-            x2 = s & (r | K.apre_of(py, K.cpre_of(EVEN, K.count_in(x)), K.lpre_exists(x)))
-            if np.array_equal(x2, x):
-                break
-            x = x2
-        if np.array_equal(x, y):
-            return np_to_region(x)
+        py, x = K.cpre(EVEN, y), 0  # y is fixed while x grows
+        while (grown := s & (r | K.apre_of(py, K.cpre(EVEN, x), K.lpre_exists(x)))) != x:
+            x = grown
+        if x == y:
+            return Region(view.n, x)
         y = x
 
 

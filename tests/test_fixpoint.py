@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import operator
 import random
 from functools import reduce
 from itertools import product
@@ -19,7 +20,7 @@ from fairgame.fixpoint import (
     FpTrace, _run, _var_name, extract_ranks, m_set, solve_even_fp, solve_odd_fp,
 )
 from fairgame.pgfile import mutate_liveness, random_game, write_game
-from fairgame.transformers import Kernels, np_to_region
+from fairgame.transformers import Kernels, mask_to_np, np_to_mask
 
 from conftest import build_game, make_g3, offset_ladder, small_games
 
@@ -408,32 +409,32 @@ def reference_run(
     want_snapshots: bool,
     deadline: Optional[Deadline],
 ) -> Tuple[Region, FpTrace]:
-    """fixpoint._run as it was before the value memo: parts keyed by version only."""
+    """fixpoint._run as it was before the value memo, on masks: parts keyed by version only, every value counted in full."""
     K = Kernels(view, use_live)
     n = K.n
     active = K.active
     l = least_even_upperbound(view.game, view.active)
     evens = list(range(2, l + 1, 2))
-    pri = K.priority
-    C = {j: active & (pri == j) for j in evens}
+    level = K.level
+    C = {j: np_to_mask(level == j) & active for j in evens}
     # term j is base[j] | C[j] & cpre(side, Y_j) | rest[j] & op(Y_j, X_{j-1})
     if side == ODD:
-        base = {j: active & (pri > j) for j in evens}
-        rest = {j: active & (pri != j) for j in evens}
-        op, join = K.npre_of, np.logical_and
+        base = {j: np_to_mask(level > j) & active for j in evens}
+        rest = {j: np_to_mask(level != j) & active for j in evens}
+        op, join = K.npre_of, operator.and_
     else:
-        base = {j: np.zeros(n, bool) for j in evens}
-        rest = {j: active & (pri < j) for j in evens}
-        op, join = K.apre_of, np.logical_or
+        base = dict.fromkeys(evens, 0)
+        rest = {j: np_to_mask(level < j) & active for j in evens}
+        op, join = K.apre_of, operator.or_
 
-    var: Dict[int, np.ndarray] = {}
+    var: Dict[int, int] = {}
     ver: Dict[int, int] = {k: 0 for k in range(1, l + 1)}
     counters: Dict[int, int] = {k: 0 for k in range(1, l + 1)}
     parts: Dict[int, tuple] = {}  # k -> (ver[k], ...), see part()
     memo: Dict[int, tuple] = {}
     live = K.lpre_forall if side == ODD else K.lpre_exists
     # cpre_of and live of the reset values, the empty set (count_in zero) and the active set (K.deg)
-    start = {True: (K.cpre_of(side, np.zeros(n)), live(np.zeros(n, bool))),
+    start = {True: (K.cpre_of(side, np.zeros(n)), live(0)),
              False: (K.cpre_of(side, K.deg), live(active))}
 
     recorded = evens if side == ODD else list(range(1, l + 1, 2))
@@ -456,7 +457,7 @@ def reference_run(
         parts[k] = (ver[k], p, lx if k % 2 else base[k] | (C[k] & p))
         return parts[k]
 
-    def term(j: int) -> np.ndarray:
+    def term(j: int) -> int:
         key = (ver[j], ver[j - 1])
         hit = memo.get(j)
         if hit is not None and hit[0] == key:
@@ -467,9 +468,9 @@ def reference_run(
         memo[j] = (key, val)
         return val
 
-    def eval_level(k: int) -> np.ndarray:
+    def eval_level(k: int) -> int:
         mu = (k % 2 == 0) == (side == ODD)
-        var[k] = np.zeros(n, bool) if mu else active.copy()
+        var[k] = 0 if mu else active
         ver[k] += 1
         part(k, start[mu])
         counters[k] = 0
@@ -484,16 +485,16 @@ def reference_run(
             newval = eval_level(k - 1) if k > 1 else reduce(join, map(term, evens))
             moved = newval ^ var[k]
             if mu:
-                assert not (moved & var[k]).any(), "mu iterate shrank"
+                assert not moved & var[k], "mu iterate shrank"
             else:
-                assert not (moved & newval).any(), "nu iterate grew"
+                assert not moved & newval, "nu iterate grew"
             it = counters[k] + 1
             if snaps is not None:
                 ctx = tuple(counters[kk] for kk in range(l, k, -1))
-                snaps[(_var_name(k), ctx + (it,))] = np_to_region(newval)
-            changed = moved.any()
+                snaps[(_var_name(k), ctx + (it,))] = Region(n, newval)
+            changed = moved != 0
             if mu and changed and comp is not None:
-                comp[k][newval & (comp[k] < 0)] = it
+                comp[k][mask_to_np(newval, n) & (comp[k] < 0)] = it
             var[k] = newval
             ver[k] += 1
             counters[k] = it
@@ -504,10 +505,10 @@ def reference_run(
         result = eval_level(l)
     finally:
         del eval_level  # it refers to itself: a cycle that would hold K and the iterates
-    region = np_to_region(result)
+    region = Region(n, result)
     if comp is not None:
         for m in recorded:
-            bad = result & (comp[m] < 1)
+            bad = mask_to_np(result, n) & (comp[m] < 1)
             assert not bad.any(), f"vertex in the winning region lacks a level-{m} rank component"
     trace = FpTrace(
         side=side,

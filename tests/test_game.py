@@ -83,14 +83,27 @@ def test_constructor_rejects_bad_input():
         ([0, 1], [1, 2], [[], [2]], "successor 2 of vertex 1 out of range"),
         ([0, 1], [1, 2, 3], [[1], [0]], "owners, priorities, successors must have equal length"),
         ([0, 1], [-1, 0], [[1], [0]], "priorities must be non-negative"),
+        # a row that passes names or original ids holds them beside its message
+        ([0, 1], [1, 2], [[1], [0]], ("names must have one entry per vertex", {"names": ["a"]})),
+        ([0, 1], [1, 2], [[1], [0]], ("names must have one entry per vertex", {"names": ["a", "b", "c"]})),
+        ([0, 1], [1, 2], [[1], [2]], ("successor 2 of vertex 1 out of range", {"names": ["a"]})),
+        ([0, 1], [1, 2], [[1], [0]], ("original ids must have one entry per vertex", {"original_ids": [0]})),
+        ([0, 1], [1, 2], [[1], [0]], ("original id 3 of vertex 1 is repeated", {"original_ids": [3, 3]})),
+        ([0, 1], [1, 2], [[1], [0]], ("original id -1 of vertex 0 is negative", {"original_ids": [-1, 2]})),
+        ([0, 1], [1, 2], [[1], [0]], ("original id -1 of vertex 1 is negative", {"original_ids": [4, -1]})),
+        ([0, 1], [1, 2], [[1], [0]], ("names must have one entry per vertex", {"names": [], "original_ids": [0]})),
+        ([0, 1], [1, 2], [[1], [0]], ("original ids must have one entry per vertex", {"names": ['"', None], "original_ids": [0]})),
+        ([0, 1], [1, 2], [[1], [0]], ("name of vertex 1 contains '\\n'", {"names": [None, "\n"], "original_ids": [3, 3]})),
+        ([0, 1], [1, 2], [[1], []], ("original id 3 of vertex 1 is repeated", {"original_ids": [3, 3]})),
     ],
 )
 def test_constructor_names_the_first_violated_check(owners, priorities, succ, message):
+    message, columns = message if isinstance(message, tuple) else (message, {})
     with pytest.raises(ValueError) as exc:
-        OddFairGame(owners, priorities, succ)
+        OddFairGame(owners, priorities, succ, **columns)
     assert str(exc.value) == message
     try:
-        base = OddFairGame(owners, [1] * len(owners), succ)
+        base = OddFairGame(owners, [1] * len(owners), succ, **columns)
     except ValueError:  # a defect of the structure, which no derivation meets
         return
     with pytest.raises(ValueError) as exc:

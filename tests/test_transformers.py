@@ -4,6 +4,7 @@ import pytest
 
 from fairgame.game import EVEN, ODD, Region, SubgameView
 from fairgame.transformers import (
+    Kernels,
     apre,
     cpre,
     lpre_exists,
@@ -237,7 +238,9 @@ def dead_end_free_core(g, keep):
 def test_restriction_coherence_on_traps():
     # the threshold operators on a sub-view against the reference semantics
     # over the sub-arena's edges: inactive vertices never qualify, and an Odd
-    # vertex whose live edges all leave the sub-arena has none in it
+    # vertex whose live edges all leave the sub-arena has none in it. The
+    # part forms of Kernels (masks from counts) are checked there too, with
+    # the live edges on and off
     from fairgame.zielonka import solve_zielonka_normal
 
     cases = cut_live = 0
@@ -267,6 +270,14 @@ def test_restriction_coherence_on_traps():
                     assert set(cpre(sub, p, sr)) == ref_cpre(h, p, s)
                 assert set(lpre_exists(sub, sr)) == ref_lpre_exists(h, s)
                 assert set(lpre_forall(sub, sr)) == ref_lpre_forall(h, s)
+                for use_live in (True, False):
+                    K, m = Kernels(sub, use_live), sr.mask
+                    hl = h if use_live else SimpleNamespace(**{**vars(h), "live_succ": [[]] * g.n})
+                    for p in (EVEN, ODD):
+                        assert K.cpre_of(p, K.count_in(m)) == cpre(sub, p, sr).mask
+                    lc = K.live_count_in(m)
+                    assert K.lpre_of(EVEN, lc) == K.lpre_exists(m) == Region.of(g.n, ref_lpre_exists(hl, s)).mask
+                    assert K.lpre_of(ODD, lc) == K.lpre_forall(m) == Region.of(g.n, ref_lpre_forall(hl, s)).mask
                 for tr in operands:
                     assert set(apre(sub, sr, tr)) == ref_apre(h, s, set(tr))
                     assert set(npre(sub, sr, tr)) == ref_npre(h, s, set(tr))

@@ -24,6 +24,7 @@ from fairgame.zielonka import (
 )
 
 from conftest import build_game, golden_cases, make_g3, offset_ladder, small_games
+from test_transformers import dead_end_free_core, ref_apre, restricted, seeded_subsets
 
 
 def safe_reach_odd(view, S, R):
@@ -87,6 +88,18 @@ def test_safe_reach_layers_and_edges():
                 assert res.rank1d[w] < res.rank1d[u]
 
 
+def ref_exact_reach(h, sset, rset):
+    """nu Y. mu X. S & (R | apre(Y, X)) over the reference operators of arena h."""
+    y = set(range(h.n))
+    while True:
+        x = set()
+        while (grown := sset & (rset | ref_apre(h, y, x))) != x:
+            x = grown
+        if x == y:
+            return x
+        y = x
+
+
 def test_exact_reach_within_layered_reach():
     checked = 0
     for seed, _alpha, g in small_games(150, start_seed=1800):
@@ -96,8 +109,27 @@ def test_exact_reach_within_layered_reach():
             exact = safe_reach_even_full(view, S, R)
             layered = safe_reach_even_fair(view, S, R).region
             assert exact.issubset(layered)
+            assert set(exact) == ref_exact_reach(g, sset, rset)
             checked += 1
     assert checked >= 200
+
+
+def test_exact_reach_matches_the_reference_on_sub_views():
+    # on a dead-end-free sub-view the reference reads the sub-arena's edges only
+    checked = 0
+    for seed, _alpha, g in small_games(100, start_seed=1900):
+        for keep in seeded_subsets(g, seed, 4)[2:]:
+            core = dead_end_free_core(g, keep)
+            if not core:
+                continue
+            view = SubgameView(g, Region.of(g.n, core))
+            for sset, rset in corridor_cases(g, seed):
+                sset &= core
+                rset &= sset
+                exact = safe_reach_even_full(view, Region.of(g.n, sset), Region.of(g.n, rset))
+                assert set(exact) == ref_exact_reach(restricted(g, core), sset, rset)
+                checked += 1
+    assert checked >= 100
 
 
 def test_reach_argument_validation(ex1_view):

@@ -18,9 +18,10 @@ interquartile range). `--trace` makes one traced run per tree, the per-layer
 metrics of one set-up plus one round. `--calls` counts, in each tree, the
 full edge counts (`count_in`, `live_count_in`), the `lpre_forall` calls and
 the counts moved by difference (`fixpoint._count_moves`, where the tree has
-it) of one ranked `solve_odd_fp` on fixed ladders and random games, and of
-the 20 unranked solves of the criterion-7 scale test, with the seconds the
-solves took.
+it) of one ranked `solve_odd_fp` on fixed ladders and random games, of
+the 20 unranked solves of the criterion-7 scale test, and of ranked solves
+of small-check's 300 small games at alpha 100, whose time is the fixed
+per-solve cost, with the seconds the solves took.
 
 The output file is read first when it exists, and the section is replaced;
 the `parent`, `previous_bench_file`, `machine` and `command` fields are
@@ -82,6 +83,8 @@ for n, p, s in ((800, 5, 1), (1500, 5, 1), (2000, 5, 1), (2000, 5, 3), (20000, 3
     out[f"random_game({n}, {p}, {s}) alpha50 seed{s}"] = solves([mutate_liveness(parse_game(gen.random_game(n, p, s)), 50, s)])
 criterion7 = [mutate_liveness(pgfile.random_game(500 + 100 * i, 5 + i % 2, 1000 + i), 50, 1000 + i) for i in range(20)]
 out["criterion 7: 20 games, ranks=False"] = solves(criterion7, ranks=False)
+small = [gen.sub_seed(11, 3, i) for i in range(300)]  # small-check's of-fp games at seed 11
+out["300 small games alpha100"] = solves([mutate_liveness(parse_game(gen.small_game(s)), 100, s) for s in small])
 print(json.dumps(out))
 """
 
