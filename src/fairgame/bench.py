@@ -2,9 +2,9 @@
 
 `solve_instance` is the only place that turns a tag into solver calls; the
 CLI's `solve` and `check` and the harness's `run_instance` all go through it.
-It solves the game it is given: the classical `n-*` solvers ignore live
-edges, and callers that also want artifacts free of them strip the edges
-first.
+It solves the game it is given: the classical `n-*` readings ignore live
+edges (`n-fp` is the fair fixed point on `game.with_live(())`), and callers
+that also want artifacts free of them strip the edges first.
 
 The harness runs solvers over a set of instance files. Each (instance,
 solver) pair becomes one CSV row. Solve time covers the `solve_instance`
@@ -54,32 +54,34 @@ class BenchRecord:
         )
 
 
-def solve_instance(game, algo, deadline, want_artifacts, want_ranks=True):
+def solve_instance(game, algo, deadline, want_artifacts, want_ranks=False):
     """Returns (w_even, w_odd, template, strategy, odd_trace) of solver tag algo.
 
-    odd_trace is the fixed-point trace under `*-fp` and None under `*-zl`; it
-    records ranks when want_ranks or want_artifacts (the template is built
-    from them). template and strategy are None unless want_artifacts.
+    odd_trace is the fixed-point trace of the tag's reading, under `*-fp` or
+    when want_ranks, and None otherwise; it records ranks when want_ranks or
+    want_artifacts (the `*-fp` template is built from them). template and
+    strategy are None unless want_artifacts.
     """
     if algo not in SOLVER_TAGS:
         raise ValueError(f"unknown solver tag {algo!r}")
     view = SubgameView.full(game)
-    use_live = algo in FAIR_TAGS
+    fair = algo in FAIR_TAGS
+    zl = algo.endswith("-zl")
     template = strategy = trace = None
-    if algo.endswith("-zl"):
-        solver = solve_zielonka_fair if use_live else solve_zielonka_normal
+    if zl:
+        solver = solve_zielonka_fair if fair else solve_zielonka_normal
         art = solver(view, extract=want_artifacts, deadline=deadline)
         w_even, w_odd = art.win_even, art.win_odd
         template, strategy = art.odd_template, art.even_strategy
-    else:
-        ranks = want_ranks or want_artifacts
-        w_odd, trace = solve_odd_fp(view, use_live=use_live, ranks=ranks, deadline=deadline)
-        w_even = w_odd.complement()
+    if want_ranks or not zl:
+        # the classical fixed point is the fair one on the game without live edges
+        played = view if fair or not game.live else SubgameView.full(game.with_live(()))
+        fp_odd, trace = solve_odd_fp(played, ranks=want_ranks or want_artifacts, deadline=deadline)
+    if not zl:
+        w_even, w_odd = fp_odd.complement(), fp_odd
         if want_artifacts:
             template = build_rank_template(view, w_odd, extract_ranks(trace))
-            strategy = extract_even_strategy(
-                view, trace=trace, use_live=use_live, deadline=deadline
-            )
+            strategy = extract_even_strategy(played, trace=trace, deadline=deadline)
     return w_even, w_odd, template, strategy, trace
 
 

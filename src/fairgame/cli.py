@@ -66,9 +66,6 @@ def cmd_solve(args) -> int:
         w_even, w_odd, template, strategy, trace = _solve_instance(
             game, args.algo, deadline, args.template or args.certify, args.ranks
         )
-        if args.ranks and trace is None:
-            # ranks come from the fixed-point solver of the same reading
-            trace = _solve_instance(game, args.algo.replace("-zl", "-fp"), deadline, False, True)[4]
     except SolverTimeout:
         print("timeout", file=sys.stderr)
         return 3

@@ -6,9 +6,9 @@ are the game's dense relabelling of its priorities (`OddFairGame.level`,
 same order and parity), so the ladder has one level per present priority
 class, not one per priority value, and trace addresses (FpTrace.l, counters,
 snapshot keys, rank components) name levels. The Odd solver computes the
-vertices Odd wins under the fairness assumption on live edges; the Even
-solver is its dual. Passing use_live=False empties the live-edge operators,
-which yields the classical (fairness-free) winning regions.
+vertices Odd wins under the fairness assumption on the live edges of the
+view's game; the Even solver is its dual. The classical (fairness-free)
+winning regions are those of a view of `game.with_live(())`.
 
 A solve can record, per vertex, the iteration index at which the vertex first
 entered each mu variable. The inner indices of a vertex come from the last
@@ -117,13 +117,12 @@ def _count_moves(counts: memoryview, need: memoryview, pred, old: int, new: int)
 def _run(
     view: SubgameView,
     side: int,
-    use_live: bool,
     want_ranks: bool,
     want_snapshots: bool,
     deadline: Optional[Deadline],
 ) -> Tuple[Region, FpTrace]:
     game = view.game
-    K = Kernels(view, use_live)
+    K = Kernels(view)
     n = K.n
     act = K.active
     l = least_even_upperbound(game, view.active)
@@ -257,25 +256,23 @@ def _run(
 def solve_odd_fp(
     view: SubgameView,
     *,
-    use_live: bool = True,
     ranks: bool = True,
     snapshots: bool = False,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[Region, FpTrace]:
-    """Vertices Odd wins (under fairness when use_live), plus the solve trace."""
-    return _run(view, ODD, use_live, ranks, snapshots, deadline)
+    """Vertices Odd wins under fairness, plus the solve trace."""
+    return _run(view, ODD, ranks, snapshots, deadline)
 
 
 def solve_even_fp(
     view: SubgameView,
     *,
-    use_live: bool = True,
     ranks: bool = False,
     snapshots: bool = False,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[Region, FpTrace]:
-    """Vertices Even wins (under fairness when use_live), plus the solve trace."""
-    return _run(view, EVEN, use_live, ranks, snapshots, deadline)
+    """Vertices Even wins under fairness, plus the solve trace."""
+    return _run(view, EVEN, ranks, snapshots, deadline)
 
 
 def extract_ranks(trace: FpTrace) -> Dict[int, Rank]:

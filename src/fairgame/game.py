@@ -15,6 +15,7 @@ import gc
 import time
 from contextlib import contextmanager
 from itertools import chain, compress
+from operator import ge
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 EVEN = 0
@@ -179,10 +180,11 @@ class OddFairGame:
 
     The constructor raises ValueError on the first defect: no vertex, a
     successor out of range, names or original ids not one per vertex, a name
-    no game file can hold, a negative or repeated id, a dead end, or a live
-    edge that is no edge out of an Odd vertex. So every game it builds
-    round-trips through `write_game` and `parse_game`. `with_live` and
-    `with_priorities` share the structure and check only their new column.
+    no game file can hold, a negative id or one not above the id before it,
+    a dead end, or a live edge that is no edge out of an Odd vertex. So every
+    game it builds round-trips through `write_game` and `parse_game`.
+    `with_live` and `with_priorities` share the structure and check only
+    their new column.
     """
 
     def __init__(
@@ -219,10 +221,11 @@ class OddFairGame:
             if not _UNWRITABLE.isdisjoint("".join(filter(None, self.names))):
                 v, ch = next((v, c) for v, s in enumerate(self.names) for c in s or "" if c in _UNWRITABLE)
                 raise ValueError(f"name of vertex {v} contains {ch!r}")
-            if original_ids is not None and (min(ids) < 0 or len(set(ids)) < n):
-                first: dict = {}
-                v = next(v for v, i in enumerate(ids) if i < 0 or first.setdefault(i, v) != v)
-                defect = "negative" if ids[v] < 0 else "repeated"
+            # ids must rise, as parse_game numbers vertices in ascending id order
+            if original_ids is not None and (ids[0] < 0 or any(map(ge, ids, ids[1:]))):
+                v = next(v for v, i in enumerate(ids) if i < 0 or v and i <= ids[v - 1])
+                defect = ("negative" if ids[v] < 0 else "repeated" if ids[v] == ids[v - 1]
+                          else f"below that of vertex {v - 1}")
                 raise ValueError(f"original id {ids[v]} of vertex {v} is {defect}")
             if not all(self.succ):
                 raise ValueError(f"dead end at {self.succ.index(())}")

@@ -203,7 +203,6 @@ def extract_even_strategy(
     *,
     region: Optional[Region] = None,
     trace: Optional[FpTrace] = None,
-    use_live: bool = True,
     deadline: Optional[Deadline] = None,
 ) -> EvenStrategy:
     """Positional Even strategy on the Even winning region of the view.
@@ -211,19 +210,19 @@ def extract_even_strategy(
     The region comes from a given trace of either side (an Even trace's
     region, or by determinacy the view minus an Odd trace's region) and is
     solved for only when no trace is given. The trace must come from a
-    fixed-point solve of this view with the same use_live. The region is an
-    Odd-trap on which Even wins from everywhere, so the recursive solver
-    restricted to it returns the whole region as Even's and its choice map
-    is the strategy. A successor of minimal solver rank is not always a
-    winning move here: two successors can carry the same minimal rank while
-    only one of them makes progress, so the choice has to come from the
-    recursion structure.
+    fixed-point solve of this view; a view of `game.with_live(())` gives the
+    classical strategy. The region is an Odd-trap on which Even wins from
+    everywhere, so the recursive solver restricted to it returns the whole
+    region as Even's and its choice map is the strategy. A successor of
+    minimal solver rank is not always a winning move here: two successors can
+    carry the same minimal rank while only one of them makes progress, so the
+    choice has to come from the recursion structure.
     """
-    from .zielonka import solve_zielonka_fair, solve_zielonka_normal
+    from .zielonka import solve_zielonka_fair
 
     game = view.game
     if trace is None:
-        reg, _ = solve_even_fp(view, use_live=use_live, deadline=deadline)
+        reg, _ = solve_even_fp(view, deadline=deadline)
     elif trace.side == EVEN:
         reg = trace.region
     else:
@@ -233,8 +232,7 @@ def extract_even_strategy(
     if not reg:
         return EvenStrategy(game.n, reg, {})
     sub = SubgameView(game, reg)
-    solve = solve_zielonka_fair if use_live else solve_zielonka_normal
-    art = solve(sub, extract=True, deadline=deadline)
+    art = solve_zielonka_fair(sub, extract=True, deadline=deadline)
     assert art.win_even == reg, "region is not the Even paradise it claims to be"
     return art.even_strategy
 

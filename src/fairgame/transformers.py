@@ -42,11 +42,11 @@ class Kernels:
     (live) edges into s as a float64 array; `cpre_of` and `lpre_of` pack the
     comparison of such counts with `need` and `lneed` into a mask. A count
     never exceeds its degree, so each of these operators is one comparison.
-    With use_live=False the live-edge operators see an empty live set, which
-    turns the fair operators into their classical counterparts.
+    The live-edge operators read the live edges of the view's game; on
+    `game.with_live(())` the fair operators are their classical counterparts.
     """
 
-    def __init__(self, view: SubgameView, use_live: bool = True):
+    def __init__(self, view: SubgameView):
         game = view.game
         esrc, edst = _edges(game.succ)
         lsrc, ldst = _edges(game.live_succ)
@@ -59,7 +59,7 @@ class Kernels:
         self.esrc = esrc[keep]
         self.edst = edst[keep]
         self.deg = np.bincount(self.esrc, minlength=n).astype(np.float64)
-        lkeep = active[lsrc] & active[ldst] if use_live else np.zeros(len(lsrc), bool)
+        lkeep = active[lsrc] & active[ldst]
         self.lsrc, self.ldst = lsrc[lkeep], ldst[lkeep]
         self.ldeg = np.bincount(self.lsrc, minlength=n).astype(np.float64)
         odd = active & (np.asarray(game.owner, dtype=np.int8) == ODD)

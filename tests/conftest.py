@@ -22,6 +22,11 @@ GAME_FIELDS = ("owner", "original_priority", "shift", "priority", "level", "succ
                "live", "live_succ", "live_pred", "names", "original_ids")
 
 
+def classical(view: SubgameView) -> SubgameView:
+    """The view over `game.with_live(())`, on which the fair solvers give the classical reading."""
+    return SubgameView(view.game.with_live(()), view.active)
+
+
 def game_fields(game) -> dict:
     """Every field of a game by name, and its `write_game` text."""
     return {**{f: getattr(game, f) for f in GAME_FIELDS}, "text": write_game(game)}

@@ -35,7 +35,7 @@ from fairgame.zielonka import (
     solve_zielonka_normal,
 )
 
-from conftest import REDIRECT_GAME, make_ex1, redirect_one_even_choice, small_games
+from conftest import REDIRECT_GAME, classical, make_ex1, redirect_one_even_choice, small_games
 from test_fixpoint import level_witnesses
 from test_transformers import seeded_subsets
 from test_zielonka import corridor_cases
@@ -118,7 +118,7 @@ def test_criterion_4_cross_solver_agreement():
             if fp != zl:
                 problems.append((i, alpha, "fair pair disagrees"))
             if alpha == 0:
-                nfp, _ = solve_odd_fp(view, use_live=False, ranks=False)
+                nfp, _ = solve_odd_fp(classical(view), ranks=False)
                 nzl = solve_zielonka_normal(view).win_odd
                 if not (fp == nfp == nzl):
                     problems.append((i, "normal pair disagrees"))

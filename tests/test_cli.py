@@ -12,8 +12,9 @@ from fairgame.bench import CSV_HEADER, SOLVER_TAGS, run_instance, solve_instance
 from fairgame.cli import main
 from fairgame.game import OddFairGame
 from fairgame.pgfile import mutate_liveness, parse_game, random_game, write_game
+from fairgame.templates import OddTemplate, close_live_cycles
 
-from conftest import REDIRECT_GAME, make_ex1, make_g3, redirect_one_even_choice
+from conftest import REDIRECT_GAME, make_ex1, make_g3, redirect_one_even_choice, small_games
 
 
 @pytest.fixture()
@@ -254,6 +255,24 @@ def test_bench_rows_match_the_solve_entry(tmp_path, algo):
         full = solve_instance(game, algo, None, True)
         assert full[:2] == (w_even, w_odd), name
         assert full[2] is not None and full[3] is not None
+
+
+def test_classical_solves_of_a_live_game_are_fair_solves_of_the_game_without_it():
+    # n-fp solves and extracts on the live-free game, and builds its template on the given one
+    checked = closed = 0
+    for _seed, alpha, g in small_games(160, start_seed=600):
+        if not alpha:
+            continue
+        stripped = g.with_live(())
+        w_even, w_odd, template, strategy, _ = solve_instance(g, "n-fp", None, True)
+        f_even, f_odd, f_template, f_strategy, _ = solve_instance(stripped, "of-fp", None, True)
+        assert (w_even, w_odd) == (f_even, f_odd)
+        assert strategy == f_strategy
+        assert template == OddTemplate(g.n, w_odd, close_live_cycles(g, w_odd, f_template.edges))
+        assert solve_instance(g, "n-zl", None, False)[:2] == solve_instance(stripped, "of-zl", None, False)[:2]
+        checked += 1
+        closed += template != f_template
+    assert checked >= 120 and closed >= 20, (checked, closed)
 
 
 def test_only_callers_that_read_ranks_record_them(ex1_file, tmp_path, monkeypatch, capsys):

@@ -22,7 +22,7 @@ from fairgame.fixpoint import (
 from fairgame.pgfile import mutate_liveness, random_game, write_game
 from fairgame.transformers import Kernels, mask_to_np, np_to_mask
 
-from conftest import build_game, make_g3, offset_ladder, small_games
+from conftest import build_game, classical, make_g3, offset_ladder, small_games
 
 EX1_W_ODD = ["1a", "2b", "2c", "3a", "3b", "4a"]
 
@@ -139,9 +139,9 @@ def test_rank_rule_agrees_on_random_games():
 def test_solvers_partition_and_complement():
     for _seed, _alpha, g in small_games(120, start_seed=1500):
         view = SubgameView.full(g)
-        for use_live in (True, False):
-            w_odd, _ = solve_odd_fp(view, use_live=use_live, ranks=False)
-            w_even, _ = solve_even_fp(view, use_live=use_live)
+        for v in (view, classical(view)):
+            w_odd, _ = solve_odd_fp(v, ranks=False)
+            w_even, _ = solve_even_fp(v)
             assert w_even == w_odd.complement()
 
 
@@ -149,8 +149,8 @@ def test_live_free_games_ignore_the_flag():
     for _seed, _alpha, g in small_games(40, alphas=(0,), start_seed=50):
         assert not g.live
         view = SubgameView.full(g)
-        fair, _ = solve_odd_fp(view, use_live=True, ranks=False)
-        normal, _ = solve_odd_fp(view, use_live=False, ranks=False)
+        fair, _ = solve_odd_fp(view, ranks=False)
+        normal, _ = solve_odd_fp(classical(view), ranks=False)
         assert fair == normal
 
 
@@ -158,16 +158,16 @@ def test_fairness_only_helps_even():
     # dropping the live obligations can only move vertices toward Odd
     for _seed, _alpha, g in small_games(100, start_seed=2200):
         view = SubgameView.full(g)
-        fair, _ = solve_odd_fp(view, use_live=True, ranks=False)
-        normal, _ = solve_odd_fp(view, use_live=False, ranks=False)
+        fair, _ = solve_odd_fp(view, ranks=False)
+        normal, _ = solve_odd_fp(classical(view), ranks=False)
         assert fair.issubset(normal)
 
 
 def test_g3_flip():
     g = make_g3()
     view = SubgameView.full(g)
-    fair, _ = solve_even_fp(view, use_live=True)
-    normal, _ = solve_even_fp(view, use_live=False)
+    fair, _ = solve_even_fp(view)
+    normal, _ = solve_even_fp(classical(view))
     assert set(fair) == {0, 1}
     assert set(normal) == {1}
 
@@ -339,8 +339,8 @@ def fp_trace_digest(cases):
     for g in cases:
         view = SubgameView.full(g)
         for solve in (solve_odd_fp, solve_even_fp):
-            for use_live in (True, False):
-                _, tr = solve(view, use_live=use_live, ranks=True, snapshots=True)
+            for v in (view, classical(view)):
+                _, tr = solve(v, ranks=True, snapshots=True)
                 h.update(repr((tr.region.mask, sorted(tr.counters.items()))).encode())
                 for m in sorted(tr.components):
                     h.update(repr(m).encode() + tr.components[m].tobytes())
@@ -404,13 +404,12 @@ def test_each_distinct_iterate_is_counted_once(monkeypatch, game, want):
 def reference_run(
     view: SubgameView,
     side: int,
-    use_live: bool,
     want_ranks: bool,
     want_snapshots: bool,
     deadline: Optional[Deadline],
 ) -> Tuple[Region, FpTrace]:
     """fixpoint._run as it was before the value memo, on masks: parts keyed by version only, every value counted in full."""
-    K = Kernels(view, use_live)
+    K = Kernels(view)
     n = K.n
     active = K.active
     l = least_even_upperbound(view.game, view.active)
@@ -540,15 +539,15 @@ def test_value_reuse_matches_the_version_keyed_reference(monkeypatch):
     bounds = (0, fixpoint._DELTA_MAX, 10**9)
     for g in reuse_cases():
         view = SubgameView.full(g)
-        for side, use_live, ranks, snaps in product((ODD, EVEN), (True, False), (True, False), (True, False)):
-            want = reference_run(view, side, use_live, ranks, snaps, None)[1]
+        for side, v, ranks, snaps in product((ODD, EVEN), (view, classical(view)), (True, False), (True, False)):
+            want = reference_run(v, side, ranks, snaps, None)[1]
             for bound in bounds:
                 monkeypatch.setattr(fixpoint, "_DELTA_MAX", bound)
-                got = _run(view, side, use_live, ranks, snaps, None)[1]
+                got = _run(v, side, ranks, snaps, None)[1]
                 assert (got.region, got.counters, got.snapshots) == (want.region, want.counters, want.snapshots)
                 assert (got.components is None) == (want.components is None)
                 for m, c in (want.components or {}).items():
-                    assert np.array_equal(got.components[m], c), (side, use_live, m, bound)
+                    assert np.array_equal(got.components[m], c), (side, v.game.live, m, bound)
 
 
 def test_value_reuse_matches_the_reference_on_sub_views(monkeypatch):
@@ -563,14 +562,14 @@ def test_value_reuse_matches_the_reference_on_sub_views(monkeypatch):
         if not keep:
             continue
         view = SubgameView(g, Region.of(g.n, keep))
-        for side, use_live in product((ODD, EVEN), (True, False)):
-            want = reference_run(view, side, use_live, True, True, None)[1]
+        for side, v in product((ODD, EVEN), (view, classical(view))):
+            want = reference_run(v, side, True, True, None)[1]
             for bound in (0, 10**9):
                 monkeypatch.setattr(fixpoint, "_DELTA_MAX", bound)
-                got = _run(view, side, use_live, True, True, None)[1]
+                got = _run(v, side, True, True, None)[1]
                 assert (got.region, got.counters, got.snapshots) == (want.region, want.counters, want.snapshots)
                 for m, c in want.components.items():
-                    assert np.array_equal(got.components[m], c), (side, use_live, m, bound)
+                    assert np.array_equal(got.components[m], c), (side, v.game.live, m, bound)
         checked += 1
     assert checked >= 80
 

@@ -95,6 +95,12 @@ def test_constructor_rejects_bad_input():
         ([0, 1], [1, 2], [[1], [0]], ("original ids must have one entry per vertex", {"names": ['"', None], "original_ids": [0]})),
         ([0, 1], [1, 2], [[1], [0]], ("name of vertex 1 contains '\\n'", {"names": [None, "\n"], "original_ids": [3, 3]})),
         ([0, 1], [1, 2], [[1], []], ("original id 3 of vertex 1 is repeated", {"original_ids": [3, 3]})),
+        # parse_game numbers vertices in ascending id order, so ids must rise to round-trip
+        ([0, 1], [1, 2], [[1], [0, 1]], ("original id 3 of vertex 1 is below that of vertex 0", {"original_ids": [5, 3]})),
+        ([0, 1, 0], [1, 2, 1], [[1], [0], [0]], ("original id 1 of vertex 1 is below that of vertex 0", {"original_ids": [3, 1, 3]})),
+        ([0, 1, 0], [1, 2, 1], [[1], [0], [0]], ("original id 3 of vertex 2 is repeated", {"original_ids": [1, 3, 3]})),
+        ([0, 1, 0], [1, 2, 1], [[1], [0], [0]], ("original id -2 of vertex 2 is negative", {"original_ids": [0, 7, -2]})),
+        ([0, 1, 0], [1, 2, 1], [[1], [0], []], ("original id 2 of vertex 2 is below that of vertex 1", {"original_ids": [0, 7, 2]})),
     ],
 )
 def test_constructor_names_the_first_violated_check(owners, priorities, succ, message):

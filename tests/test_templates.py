@@ -21,7 +21,7 @@ from fairgame.templates import (
 )
 from fairgame.zielonka import solve_zielonka_fair
 
-from conftest import build_game, golden_cases, small_games
+from conftest import build_game, classical, golden_cases, small_games
 
 EX1_TEMPLATE_EDGES = {
     (0, 3), (0, 6), (2, 3), (2, 5), (3, 2), (4, 6), (5, 3), (6, 5),
@@ -199,29 +199,29 @@ def test_even_strategy_trace_reuse(ex1, ex1_view):
         extract_even_strategy(ex1_view, region=Region.of(ex1.n, {0}))
 
 
-@pytest.mark.parametrize("use_live", [True, False])
-def test_even_strategy_from_odd_trace_matches_solving(ex1, g3, use_live):
+@pytest.mark.parametrize("fair", [True, False])
+def test_even_strategy_from_odd_trace_matches_solving(ex1, g3, fair):
     games = [ex1, g3] + [g for _seed, _alpha, g in small_games(60, start_seed=300)]
     for g in games:
-        view = SubgameView.full(g)
-        w_odd, odd_tr = solve_odd_fp(view, use_live=use_live)
-        solved = extract_even_strategy(view, use_live=use_live)
-        reused = extract_even_strategy(view, trace=odd_tr, use_live=use_live)
+        view = SubgameView.full(g) if fair else classical(SubgameView.full(g))
+        w_odd, odd_tr = solve_odd_fp(view)
+        solved = extract_even_strategy(view)
+        reused = extract_even_strategy(view, trace=odd_tr)
         assert (reused.vertices, reused.choice) == (solved.vertices, solved.choice)
         assert reused.vertices == w_odd.complement()
-        _, even_tr = solve_even_fp(view, use_live=use_live)
-        from_even = extract_even_strategy(view, trace=even_tr, use_live=use_live)
+        _, even_tr = solve_even_fp(view)
+        from_even = extract_even_strategy(view, trace=even_tr)
         assert (from_even.vertices, from_even.choice) == (solved.vertices, solved.choice)
         # on a proper sub-view the Even region is the view minus Odd's, not a complement
         if solved.vertices and w_odd:
-            sub = SubgameView(g, solved.vertices)
-            _, sub_tr = solve_odd_fp(sub, use_live=use_live)
-            on_sub = extract_even_strategy(sub, trace=sub_tr, use_live=use_live)
+            sub = SubgameView(view.game, solved.vertices)
+            _, sub_tr = solve_odd_fp(sub)
+            on_sub = extract_even_strategy(sub, trace=sub_tr)
             assert (on_sub.vertices, on_sub.choice) == (solved.vertices, solved.choice)
         flip = Region.of(g.n, {0})
         wrong = solved.vertices - flip if 0 in solved.vertices else solved.vertices | flip
         with pytest.raises(ValueError):
-            extract_even_strategy(view, region=wrong, trace=odd_tr, use_live=use_live)
+            extract_even_strategy(view, region=wrong, trace=odd_tr)
 
 
 def test_format_round_shapes(ex1, ex1_view):
@@ -253,7 +253,7 @@ def test_both_routes_certify_on_smalls():
     assert certified >= 100
 
 
-def rank_route_digest(use_live):
+def rank_route_digest(fair):
     h = hashlib.sha256()
     for g in golden_cases():
         # the twin lists each successor list backwards, so that a tie between
@@ -261,9 +261,12 @@ def rank_route_digest(use_live):
         twin = OddFairGame(g.owner, g.original_priority, [ws[::-1] for ws in g.succ], g.live)
         for game in (g, twin):
             view = SubgameView.full(game)
-            w_odd, tr = solve_odd_fp(view, use_live=use_live)
+            # the classical reading solves on the game without live edges and,
+            # like solve_instance, builds its template on the given game
+            played = view if fair else classical(view)
+            w_odd, tr = solve_odd_fp(played)
             template = build_rank_template(view, w_odd, extract_ranks(tr))
-            strategy = extract_even_strategy(view, trace=tr, use_live=use_live)
+            strategy = extract_even_strategy(played, trace=tr)
             h.update(repr((
                 sorted(strategy.vertices), sorted(w_odd),
                 sorted(template.edges), sorted(strategy.choice.items()),
@@ -279,9 +282,9 @@ RANK_ROUTE_DIGEST = {
 }
 
 
-@pytest.mark.parametrize("use_live", [True, False])
-def test_rank_route_matches_golden_digest(use_live):
-    assert rank_route_digest(use_live) == RANK_ROUTE_DIGEST[use_live]
+@pytest.mark.parametrize("fair", [True, False])
+def test_rank_route_matches_golden_digest(fair):
+    assert rank_route_digest(fair) == RANK_ROUTE_DIGEST[fair]
 
 
 def reference_close_live_cycles(game, vertices, edges):

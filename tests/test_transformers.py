@@ -14,7 +14,7 @@ from fairgame.transformers import (
     pre_forall,
 )
 
-from conftest import build_game, small_games
+from conftest import build_game, classical, small_games
 
 
 # independent reference semantics, straight off the definitions
@@ -270,9 +270,9 @@ def test_restriction_coherence_on_traps():
                     assert set(cpre(sub, p, sr)) == ref_cpre(h, p, s)
                 assert set(lpre_exists(sub, sr)) == ref_lpre_exists(h, s)
                 assert set(lpre_forall(sub, sr)) == ref_lpre_forall(h, s)
-                for use_live in (True, False):
-                    K, m = Kernels(sub, use_live), sr.mask
-                    hl = h if use_live else SimpleNamespace(**{**vars(h), "live_succ": [[]] * g.n})
+                h0 = SimpleNamespace(**{**vars(h), "live_succ": [[]] * g.n})
+                for kv, hl in ((sub, h), (classical(sub), h0)):
+                    K, m = Kernels(kv), sr.mask
                     for p in (EVEN, ODD):
                         assert K.cpre_of(p, K.count_in(m)) == cpre(sub, p, sr).mask
                     lc = K.live_count_in(m)

@@ -23,7 +23,7 @@ from fairgame.zielonka import (
     solve_zielonka_normal,
 )
 
-from conftest import build_game, golden_cases, make_g3, offset_ladder, small_games
+from conftest import build_game, classical, golden_cases, make_g3, offset_ladder, small_games
 from test_transformers import dead_end_free_core, ref_apre, restricted, seeded_subsets
 
 
@@ -154,8 +154,8 @@ def test_live_free_all_four_agree():
         view = SubgameView.full(g)
         fair = solve_zielonka_fair(view)
         normal = solve_zielonka_normal(view)
-        fp_fair, _ = solve_odd_fp(view, use_live=True)
-        fp_normal, _ = solve_odd_fp(view, use_live=False)
+        fp_fair, _ = solve_odd_fp(view)
+        fp_normal, _ = solve_odd_fp(classical(view))
         assert fair.win_odd == normal.win_odd == fp_fair == fp_normal
 
 
@@ -163,7 +163,7 @@ def test_normal_mode_ignores_live_edges():
     for _seed, _alpha, g in small_games(80, start_seed=4100):
         view = SubgameView.full(g)
         normal = solve_zielonka_normal(view)
-        fp_normal, _ = solve_odd_fp(view, use_live=False)
+        fp_normal, _ = solve_odd_fp(classical(view))
         assert normal.win_odd == fp_normal
 
 

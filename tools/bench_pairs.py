@@ -21,7 +21,10 @@ the counts moved by difference (`fixpoint._count_moves`, where the tree has
 it) of one ranked `solve_odd_fp` on fixed ladders and random games, of
 the 20 unranked solves of the criterion-7 scale test, and of ranked solves
 of small-check's 300 small games at alpha 100, whose time is the fixed
-per-solve cost, with the seconds the solves took.
+per-solve cost. Each entry's solves run REPEATS (5) times in one process:
+the counts are those of the first run, which every run repeats, and
+`solve_s` is the least time of a run, so that entries of a tenth of a
+second or less can compare two trees; the section records the repeats.
 
 The output file is read first when it exists, and the section is replaced;
 the `parent`, `previous_bench_file`, `machine` and `command` fields are
@@ -41,6 +44,7 @@ import sys
 from pathlib import Path
 
 TREES = ("parent", "change")
+REPEATS = 5  # runs of each --calls entry's solves
 
 COUNTER = r"""
 import json, sys, time
@@ -67,11 +71,16 @@ if hasattr(fixpoint, "_count_moves"):  # counts moved by difference, in a tree t
     wrap(fixpoint, "_count_moves", "moves")
 
 def solves(games, ranks=True):
-    calls.update(dict.fromkeys(calls, 0))
-    t0 = time.perf_counter()
-    for game in games:
-        solve_odd_fp(SubgameView.full(game), ranks=ranks)
-    return {**calls, "solve_s": round(time.perf_counter() - t0, 3)}
+    # the counts of the first run, the least time of REPEATS runs
+    times, counts = [], None
+    for _ in range(REPEATS):
+        calls.update(dict.fromkeys(calls, 0))
+        t0 = time.perf_counter()
+        for game in games:
+            solve_odd_fp(SubgameView.full(game), ranks=ranks)
+        times.append(time.perf_counter() - t0)
+        counts = counts or dict(calls)
+    return {**counts, "solve_s": round(min(times), 4)}
 """
 
 GAMES = r"""
@@ -91,7 +100,8 @@ print(json.dumps(out))
 
 def fixpoint_calls(tree: Path, games: str = GAMES) -> dict:
     """Run COUNTER and then `games`, code that prints one JSON line of `solves` results, in tree."""
-    proc = subprocess.run([sys.executable, "-c", COUNTER + games], cwd=tree, capture_output=True, text=True, check=True)
+    script = f"REPEATS = {REPEATS}\n" + COUNTER + games
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tree, capture_output=True, text=True, check=True)
     return last_json(proc.stdout)
 
 
@@ -195,6 +205,7 @@ def main(argv=None) -> int:
 
     section = {"note": args.note} if args.note else {}
     if args.calls:
+        section["repeats"] = REPEATS
         for tree, root in trees.items():
             section[tree] = fixpoint_calls(root)
     elif args.trace:
